@@ -30,7 +30,7 @@ class Community:
     selective export at transit ASes.
     """
 
-    __slots__ = ("asn", "value")
+    __slots__ = ("asn", "value", "_hash")
 
     def __init__(self, asn: int, value: int):
         if not 0 <= asn <= 0xFFFFFFFF:
@@ -39,6 +39,8 @@ class Community:
             raise ValueError(f"community value {value} out of range")
         object.__setattr__(self, "asn", asn)
         object.__setattr__(self, "value", value)
+        # Tags are dict keys of every transit's export rules.
+        object.__setattr__(self, "_hash", hash((asn, value)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Community is immutable")
@@ -62,7 +64,7 @@ class Community:
         return (self.asn, self.value) < (other.asn, other.value)
 
     def __hash__(self) -> int:
-        return hash((self.asn, self.value))
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.asn}:{self.value}"

@@ -28,6 +28,7 @@ from repro.bgp.messages import RouteRecord
 from repro.bgp.rib import PeerId, RIBSnapshot
 from repro.core.fullfeed import DEFAULT_FULLFEED_RATIO, full_feed_peers
 from repro.net.asn import is_private_asn
+from repro.net.aspath import ASPath
 from repro.net.prefix import AF_INET, AF_INET6, Prefix
 from repro.obs import get_tracer
 
@@ -107,24 +108,33 @@ def audit_peers(records: Iterable[RouteRecord]) -> Tuple[Dict[int, PeerAudit], L
     audits: Dict[int, PeerAudit] = defaultdict(PeerAudit)
     kept: List[RouteRecord] = []
     seen_prefixes: Dict[Tuple[int, PeerId], Set[Prefix]] = defaultdict(set)
+    # Many elements share one path, so its verdict is computed once.
+    leaks_by_path: Dict[ASPath, bool] = {}
     for record in records:
         audit = audits[record.peer_asn]
         audit.records += 1
         if record.is_corrupt:
             audit.corrupt_records += 1
+        elements = record.elements
         seen = seen_prefixes[(record.peer_asn, record.peer_id)]
-        for element in record.elements:
-            audit.elements += 1
-            if element.prefix in seen:
-                audit.duplicate_elements += 1
-            else:
-                seen.add(element.prefix)
-            if element.attributes is not None:
-                path = element.attributes.as_path
+        before = len(seen)
+        seen.update([element.prefix for element in elements])
+        # Every element either adds a new prefix or repeats a seen one.
+        audit.elements += len(elements)
+        audit.duplicate_elements += len(elements) - (len(seen) - before)
+        for element in elements:
+            if element.attributes is None:
+                continue
+            path = element.attributes.as_path
+            leaks = leaks_by_path.get(path)
+            if leaks is None:
                 # The peer's own ASN may be private in odd setups; what
                 # flags misconfiguration is a private ASN *inside* the path.
-                if any(is_private_asn(asn) for asn in path.asns()[1:]):
-                    audit.private_asn_paths += 1
+                leaks = leaks_by_path[path] = any(
+                    is_private_asn(asn) for asn in path.asns()[1:]
+                )
+            if leaks:
+                audit.private_asn_paths += 1
         kept.append(record)
     for (peer_asn, _), prefixes in seen_prefixes.items():
         audits[peer_asn].unique_prefixes += len(prefixes)

@@ -20,6 +20,9 @@ PRIVATE_ASN_RANGES: Tuple[Tuple[int, int], ...] = (
     (64512, 65534),
     (4200000000, 4294967294),
 )
+(_PRIVATE_16_LOW, _PRIVATE_16_HIGH), (_PRIVATE_32_LOW, _PRIVATE_32_HIGH) = (
+    PRIVATE_ASN_RANGES
+)
 
 #: Ranges reserved for documentation (RFC 5398).
 DOCUMENTATION_ASN_RANGES: Tuple[Tuple[int, int], ...] = (
@@ -43,7 +46,10 @@ def validate_asn(asn: int) -> int:
 
 def is_private_asn(asn: int) -> bool:
     """True for RFC 6996 private-use ASNs (e.g. 65000)."""
-    return any(low <= asn <= high for low, high in PRIVATE_ASN_RANGES)
+    return (
+        _PRIVATE_16_LOW <= asn <= _PRIVATE_16_HIGH
+        or _PRIVATE_32_LOW <= asn <= _PRIVATE_32_HIGH
+    )
 
 
 def is_documentation_asn(asn: int) -> bool:

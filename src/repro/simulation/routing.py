@@ -128,6 +128,26 @@ def _filtered(policy: Optional[TransitPolicy], units: Tuple[PolicyUnit, ...],
     return tuple(u for u in units if not policy.blocks(u.tag, neighbor))
 
 
+def _relevant_transits(
+    transit_policies: Dict[int, TransitPolicy], units: Tuple[PolicyUnit, ...]
+) -> Dict[int, TransitPolicy]:
+    """The transits whose export rules can split this origin's groups.
+
+    A rule only acts on the tag it names, so a transit naming none of
+    the units' tags passes every group through whole.  Membership is
+    probed per tag: ``tags.isdisjoint(rules)`` would hash every one of
+    a transit's rule keys instead.
+    """
+    tags = {unit.tag for unit in units if unit.tag is not None}
+    if not tags:
+        return {}
+    return {
+        asn: transit
+        for asn, transit in transit_policies.items()
+        if any(tag in transit.rules for tag in tags)
+    }
+
+
 def propagate(
     graph: ASGraph,
     policy: OriginPolicy,
@@ -155,6 +175,7 @@ def propagate(
     cone = view.cone
 
     unit_by_id = {unit.unit_id: unit for unit in units}
+    transit_policies = _relevant_transits(transit_policies, units)
 
     # ---- Phase C: customer routes ------------------------------------
     # Level-synchronous BFS up provider links; within a level, offers are

@@ -29,7 +29,11 @@ from repro.bgp.rib import RIBSnapshot
 from repro.net.prefix import AF_INET
 from repro.simulation.events import ConvergenceRun, DEFAULT_MRAI
 from repro.simulation.routing import PropagationEngine
-from repro.simulation.snapshot import render_rib_records, render_snapshot
+from repro.simulation.snapshot import (
+    BundleMemo,
+    render_rib_records,
+    render_snapshot,
+)
 from repro.simulation.updates import UpdateStreamConfig, generate_update_records
 from repro.topology.evolution import WorldParams
 from repro.topology.world import World
@@ -54,6 +58,18 @@ class SimulatedInternet:
         self.start = _as_timestamp(start)
         self.world = World(self.params, self.start)
         self.engine = PropagationEngine(self.world.graph, self.world.transit_policies)
+        #: attribute bundles carried from one render to the next
+        self._bundles = BundleMemo()
+
+    def __getstate__(self) -> dict:
+        # The bundle memo is a pure cache: world checkpoints leave it out.
+        state = self.__dict__.copy()
+        del state["_bundles"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bundles = BundleMemo()
 
     # ------------------------------------------------------------------
 
@@ -65,13 +81,17 @@ class SimulatedInternet:
         """Advance to ``when`` and stream the RIB dump of all peers."""
         moment = _as_timestamp(when)
         self.world.advance_to(moment)
-        return render_rib_records(self.world, self.engine, family, moment)
+        return render_rib_records(
+            self.world, self.engine, family, moment, self._bundles
+        )
 
     def rib_snapshot(self, when: TimeLike, family: int = AF_INET) -> RIBSnapshot:
         """Advance to ``when`` and materialise the cross-peer snapshot."""
         moment = _as_timestamp(when)
         self.world.advance_to(moment)
-        return render_snapshot(self.world, self.engine, family, moment)
+        return render_snapshot(
+            self.world, self.engine, family, moment, self._bundles
+        )
 
     def update_records(
         self,

@@ -125,12 +125,14 @@ def _decode_as_path(data: "bytes | memoryview", asn_size: int) -> ASPath:
         offset += count * asn_size
         if segment_type not in (1, 2):
             raise MRTError(f"unknown AS_PATH segment type {segment_type}")
-        segments.append(
-            PathSegment(
+        try:
+            segment = PathSegment(
                 SegmentType.AS_SET if segment_type == 1 else SegmentType.AS_SEQUENCE,
                 asns,
             )
-        )
+        except ValueError as exc:  # ASN 0 or an empty segment
+            raise MRTError(f"invalid AS_PATH segment: {exc}") from exc
+        segments.append(segment)
     return ASPath(segments)
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.bgp.attributes."""
 
+import pickle
+
 import pytest
 
 from repro.bgp.attributes import Community, Origin, PathAttributes
@@ -29,6 +31,13 @@ class TestCommunity:
         community = Community(1, 2)
         with pytest.raises(AttributeError):
             community.asn = 5
+
+    def test_pickle_round_trip_keeps_hash(self):
+        community = Community(3257, 2990)
+        clone = pickle.loads(pickle.dumps(community))
+        assert clone == community
+        assert hash(clone) == hash(community) == hash((3257, 2990))
+        assert {community: "tag"}[clone] == "tag"
 
 
 class TestPathAttributes:

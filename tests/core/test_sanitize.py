@@ -1,16 +1,19 @@
 """Tests for the sanitization pipeline on synthetic records."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.core.sanitize import (
+    PeerAudit,
     SanitizationConfig,
     audit_peers,
     flag_abnormal_peers,
     sanitize,
 )
-from repro.net.aspath import ASPath
+from repro.net.asn import is_private_asn
+from repro.net.aspath import ASPath, PathSegment, SegmentType
 from repro.net.prefix import Prefix
 
 
@@ -69,6 +72,94 @@ class TestPeerAudit:
             [record("rrc00", 65001, rib_elements({"10.0.0.0/16": "65001 7 9"}))]
         )
         assert audits[65001].private_asn_paths == 0
+
+
+def naive_audit(records):
+    """Per-element reference for :func:`audit_peers`'s counters."""
+    audits = {}
+    seen = {}
+    for rec in records:
+        audit = audits.setdefault(rec.peer_asn, PeerAudit())
+        audit.records += 1
+        if rec.is_corrupt:
+            audit.corrupt_records += 1
+        feed = seen.setdefault((rec.peer_asn, rec.peer_id), set())
+        for element in rec.elements:
+            audit.elements += 1
+            if element.prefix in feed:
+                audit.duplicate_elements += 1
+            else:
+                feed.add(element.prefix)
+            if element.attributes is not None and any(
+                is_private_asn(asn) for asn in element.attributes.as_path.asns()[1:]
+            ):
+                audit.private_asn_paths += 1
+    for (peer_asn, _), prefixes in seen.items():
+        audits[peer_asn].unique_prefixes += len(prefixes)
+    return audits
+
+
+#: 65001 is a private *peer* ASN; 65000 and 4200000001 are private hops.
+AUDIT_PEERS = (1, 2, 65001)
+AUDIT_HOPS = (7, 9, 77, 65000, 4200000001)
+AUDIT_PREFIXES = tuple(Prefix.parse(f"10.{i}.0.0/16") for i in range(5))
+
+
+@st.composite
+def audited_records(draw):
+    """Records with duplicates, shared and equal-but-distinct paths,
+    withdrawals, AS_SETs, corrupt records, and one peer ASN on two
+    collectors."""
+    shared = {}
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        peer_asn = draw(st.sampled_from(AUDIT_PEERS))
+        collector = draw(st.sampled_from(("rrc00", "rrc01")))
+        elements = []
+        for _ in range(draw(st.integers(0, 8))):
+            prefix = draw(st.sampled_from(AUDIT_PREFIXES))
+            if draw(st.integers(0, 4)) == 0:
+                elements.append(RouteElement(ElementType.WITHDRAWAL, prefix))
+                continue
+            hops = tuple(draw(st.lists(st.sampled_from(AUDIT_HOPS), max_size=3)))
+            as_set = bool(hops) and draw(st.booleans())
+            key = (peer_asn, hops, as_set)
+            if as_set:
+                path = ASPath([
+                    PathSegment(SegmentType.AS_SEQUENCE, [peer_asn]),
+                    PathSegment(SegmentType.AS_SET, hops),
+                ])
+            else:
+                path = ASPath.from_asns((peer_asn,) + hops)
+            if draw(st.booleans()):
+                attributes = shared.setdefault(key, PathAttributes(path))
+            else:
+                attributes = PathAttributes(path)
+            kind = draw(st.sampled_from([ElementType.RIB, ElementType.ANNOUNCEMENT]))
+            elements.append(RouteElement(kind, prefix, attributes))
+        warning = draw(st.sampled_from(["", "", "Duplicate Path Attribute"]))
+        records.append(record(collector, peer_asn, elements, warning=warning))
+    return records
+
+
+class TestAuditMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(audited_records())
+    def test_every_counter_matches_per_element_reference(self, records):
+        audits, kept = audit_peers(records)
+        assert audits == naive_audit(records)
+        assert kept == records
+
+    def test_duplicates_within_and_across_records(self):
+        first = rib_elements({"10.0.0.0/16": "1 9", "10.1.0.0/16": "1 9"})
+        second = rib_elements({"10.0.0.0/16": "1 9"}) * 2
+        records = [record("rrc00", 1, first), record("rrc00", 1, second),
+                   record("rrc01", 1, second)]
+        audits, _ = audit_peers(records)
+        assert audits == naive_audit(records)
+        # rrc00 repeats 10.0/16 twice; rrc01 is a separate feed.
+        assert audits[1].duplicate_elements == 3
+        assert audits[1].unique_prefixes == 3
 
 
 class TestFlagging:

@@ -5,9 +5,11 @@ preference classes, valley-free export, tie-breaking, announcement
 sets, prepending, and tag-based selective export.
 """
 
+import pytest
 
 from repro.bgp.attributes import Community
-from repro.net.prefix import Prefix
+from repro.net.prefix import AF_INET, AF_INET6, Prefix
+from repro.simulation import routing
 from repro.simulation.routing import (
     CLASS_CUSTOMER,
     CLASS_PEER,
@@ -17,6 +19,7 @@ from repro.simulation.routing import (
 )
 from repro.topology.model import ASGraph, ASNode, Tier
 from repro.topology.policies import OriginPolicy, TransitPolicy
+from tests.conftest import TEST_WORLD
 
 
 def build_graph(nodes, provider_links=(), peer_links=()):
@@ -273,3 +276,52 @@ class TestEngine:
         )
         policy = single_unit_policy(100)
         assert propagate(graph, policy, {}) == propagate(graph, policy, {})
+
+
+class TestTransitPrefilter:
+    """Narrowing exporters to the transits naming an origin's tags is
+    exact: it equals applying ``_filtered`` at every transit."""
+
+    @pytest.mark.parametrize("start", ["2008-01-15 08:00", "2014-01-15 08:00"])
+    def test_matches_brute_force_on_tagged_worlds(self, monkeypatch, start):
+        from repro.simulation.scenario import SimulatedInternet
+
+        world = SimulatedInternet(TEST_WORLD, start=start).world
+        graph, transits = world.graph, world.transit_policies
+        targets = set(world.layout.vantage_asns())
+        policies = [
+            policy
+            for family in (AF_INET, AF_INET6)
+            for policy in world.origins(family).values()
+        ]
+        ruled_tags = {tag for transit in transits.values() for tag in transit.rules}
+        assert any(
+            unit.tag in ruled_tags for policy in policies for unit in policy.units
+        )
+
+        def run_all():
+            return [
+                propagate(graph, policy, transits, wanted)
+                for policy in policies
+                for wanted in (targets, None)
+            ]
+
+        narrowed = run_all()
+        monkeypatch.setattr(
+            routing, "_relevant_transits", lambda transit_policies, units: transit_policies
+        )
+        assert narrowed == run_all()
+        # The rules really split groups somewhere in this world.
+        assert narrowed != [
+            propagate(graph, policy, {}, wanted)
+            for policy in policies
+            for wanted in (targets, None)
+        ]
+
+    def test_untagged_origin_ignores_every_rule(self):
+        graph = build_graph([100, 10, 11, 1], [(100, 10), (10, 1), (11, 1)])
+        transit = TransitPolicy(10)
+        transit.block(Community(10, 1), frozenset([1]))
+        policy = single_unit_policy(100)
+        assert routing._relevant_transits({10: transit}, tuple(policy.units)) == {}
+        assert propagate(graph, policy, {10: transit}) == propagate(graph, policy, {})

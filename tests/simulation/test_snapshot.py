@@ -1,5 +1,7 @@
 """Tests for snapshot rendering and artifact injection."""
 
+import pickle
+
 import pytest
 
 from repro.bgp.rib import RIBSnapshot
@@ -138,3 +140,80 @@ class TestDeterminism:
         for left, right in zip(records_a, records_b):
             assert left.peer_id == right.peer_id
             assert left.elements == right.elements
+
+
+#: A world with private-ASN, ADD-PATH and duplicate artifacts active,
+#: rendered within a quarter and then across one.
+RENDER_INSTANTS = ("2021-01-15 08:00", "2021-01-15 16:00", "2021-04-15 08:00")
+
+
+def record_fields(record):
+    """Every field of a record, elements included."""
+    return record.__reduce__()[1]
+
+
+class TestBundleMemo:
+    @pytest.fixture(scope="class")
+    def consecutive(self):
+        """Renders of one world at each instant, plus what they see."""
+        sim = SimulatedInternet(TEST_WORLD, start=RENDER_INSTANTS[0])
+        renders = []
+        for when in RENDER_INSTANTS:
+            records = list(sim.rib_records(when))
+            mutating = {
+                peer.asn
+                for peer in sim.world.layout.peers
+                if peer.artifact in ("private_asn", "addpath")
+                and peer.artifact_active(sim.current_time)
+            }
+            renders.append((records, mutating, set(sim.world.as_set_origins)))
+        return renders
+
+    def test_consecutive_renders_equal_fresh_worlds(self, consecutive):
+        for index, when in enumerate(RENDER_INSTANTS):
+            fresh = SimulatedInternet(TEST_WORLD, start=RENDER_INSTANTS[0])
+            # Same advance cadence, but no earlier render on this world.
+            for earlier in RENDER_INSTANTS[:index]:
+                fresh.advance_to(earlier)
+            expected = list(fresh.rib_records(when))
+            records = consecutive[index][0]
+            assert len(records) == len(expected)
+            for ours, theirs in zip(records, expected):
+                assert record_fields(ours) == record_fields(theirs)
+
+    def test_unchanged_triples_share_one_bundle(self, consecutive):
+        def bundles(records, mutating, as_set_origins):
+            found = {}
+            for record in records:
+                if record.peer_asn in mutating:
+                    continue
+                for element in record.elements:
+                    attributes = element.attributes
+                    path = attributes.as_path
+                    if path.origin in as_set_origins or path.has_set:
+                        continue
+                    key = (record.peer_asn, path, attributes.communities)
+                    # Within one render a triple has exactly one bundle.
+                    assert found.setdefault(key, attributes) is attributes
+            return found
+
+        shared = 0
+        previous = bundles(*consecutive[0])
+        for render in consecutive[1:]:
+            current = bundles(*render)
+            for key, attributes in current.items():
+                if key in previous:
+                    assert attributes is previous[key]
+                    shared += 1
+            previous = current
+        assert shared
+
+    def test_world_checkpoints_leave_the_memo_out(self):
+        sim = SimulatedInternet(TEST_WORLD, start="2004-01-15 08:00")
+        records = list(sim.rib_records("2004-01-15 08:00"))
+        assert "_bundles" not in sim.__getstate__()
+        clone = pickle.loads(pickle.dumps(sim))
+        again = list(clone.rib_records("2004-01-15 08:00"))
+        assert [record_fields(r) for r in again] == [
+            record_fields(r) for r in records
+        ]

@@ -10,6 +10,7 @@ from repro.net.prefix import AF_INET6, Prefix
 from repro.stream.mrt import (
     MRTError,
     MRTWriter,
+    _decode_as_path,
     _decode_nlri,
     _encode_nlri,
     read_mrt,
@@ -181,6 +182,18 @@ class TestRobustness:
 
     def test_empty_stream(self):
         assert list(read_mrt(io.BytesIO())) == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes([2, 1, 0, 0, 0, 0]),  # AS_SEQUENCE holding ASN 0
+            bytes([2, 0]),  # AS_SEQUENCE with no ASNs
+        ],
+        ids=["asn-zero", "empty-segment"],
+    )
+    def test_invalid_as_path_segment_is_mrt_error(self, body):
+        with pytest.raises(MRTError, match="invalid AS_PATH segment"):
+            _decode_as_path(body, 4)
 
 
 class TestPipelineIntegration:

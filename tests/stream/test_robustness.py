@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.net.prefix import PrefixError
 from repro.stream.archive import RecordArchive
 from repro.stream.serialize import record_from_json
 
@@ -24,7 +25,7 @@ class TestSerializerRobustness:
             "peer_asn": 1, "peer_addr": "x", "time": 1,
             "elements": [{"t": "R", "p": "999.0.0.0/8", "path": "1 2"}],
         }
-        with pytest.raises(Exception):
+        with pytest.raises(PrefixError):
             record_from_json(json.dumps(payload))
 
     def test_rejects_bad_record_type(self):
@@ -50,7 +51,7 @@ class TestArchiveRobustness:
         raw = dump.read_bytes()
         dump.write_bytes(raw[: len(raw) // 2])
         archive = RecordArchive(tmp_path)
-        with pytest.raises(Exception):
+        with pytest.raises(EOFError):
             list(archive.records())
 
     def test_corrupt_line_raises_cleanly(self, tmp_path):

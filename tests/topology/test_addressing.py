@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.prefix import AF_INET, AF_INET6, Prefix
+from repro.net.prefix import AF_INET, AF_INET6, Prefix, PrefixError
 from repro.topology.addressing import (
     AddressAllocator,
     AddressSpaceExhausted,
@@ -46,7 +46,7 @@ class TestAllocator:
         assert allocator.remaining_blocks(8) == before - 1
 
     def test_unknown_family(self):
-        with pytest.raises(Exception):
+        with pytest.raises(PrefixError):
             AddressAllocator(9)
 
 
