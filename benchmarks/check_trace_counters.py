@@ -1,12 +1,12 @@
 """Counter-based bench regression gate.
 
-Runs two small, fully deterministic ``repro trend`` sweeps (plain and
-incremental) with ``--trace``, rolls the traces' *counters* up into
+Runs small, fully deterministic ``repro trend`` and ``repro converge``
+scenarios with ``--trace``, rolls the traces' *counters* up into
 ``BENCH_smoke.json`` and compares them against the committed
 expectations in ``trace_expectations.json``.
 
 Counters — records decoded, prefixes sanitized, normalise-cache hits,
-dirty-set economy, engine job sources — are exact functions of the
+engine job sources, world-checkpoint saves — are exact functions of the
 (seeded) simulated world, so any drift means the pipeline's work
 changed: a decoder regression, a sanitizer behavior change, a cache
 that stopped hitting.  Timings are deliberately never compared; shared
@@ -36,9 +36,7 @@ from repro.obs import load_trace
 HERE = Path(__file__).parent
 EXPECTATIONS = HERE / "trace_expectations.json"
 
-#: The smoke sweep: tiny world, a few years, deterministic seed.  The
-#: incremental scenario keeps the stability snapshots (several per
-#: quarter) so the dirty-set economy counters are exercised.
+#: The smoke sweep: tiny world, a few years, deterministic seed.
 BASE_ARGS = [
     "trend",
     "--scale", "400",
@@ -71,14 +69,8 @@ CONVERGE_ARGS = [
 
 SCENARIOS: Dict[str, List[str]] = {
     "trend": BASE_ARGS + ["--last-year", "2006", "--no-stability"],
-    "trend-incremental": BASE_ARGS + ["--last-year", "2005", "--incremental"],
     "trend-store": BASE_ARGS + ["--last-year", "2005",
                                 "--store-dir", STORE_DIR_TOKEN],
-    # Columnar exchange: two workers publish framed segments, the
-    # parent claims them — segment sizes are a pure function of the
-    # seeded results, so bytes_claimed is an exact count.
-    "trend-exchange": BASE_ARGS + ["--last-year", "2005", "--no-stability",
-                                   "--jobs", "2", "--exchange", "columnar"],
     # World-lineage checkpoints on the serial path: the stability
     # cadence is dense enough that stride-4 saves land, and the save
     # count is an exact function of the sweep's instant schedule.
@@ -98,9 +90,7 @@ TRACKED_PREFIXES = (
     "decode.",
     "sanitize.",
     "atoms.",
-    "incremental.",
     "engine.",
-    "exchange.",
     "store.",
     "live.",
     "sim.",

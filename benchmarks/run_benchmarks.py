@@ -21,16 +21,15 @@ sweep with the store sink attached, cold-open latency for recomputing
 every series from the reopened store versus re-running the pipeline,
 and bytes per snapshot next to a ``jsonl.gz`` record dump.
 
-A third stage exercises the zero-copy columnar result plane and the
-world-lineage checkpoints (``benchmarks/output/BENCH_exchange.json``):
-after a serial prep sweep populates the checkpoint directory, the
-sweep's *extension* jobs — the ones with the longest warmups — run
-through fresh 4-worker pools twice: once over the JSON transport with
-from-birth warmup replay (the pre-exchange cold path) and once over
-the columnar plane with checkpoint restores.  The parity gate requires
-every result (atom counts, shares, stability, ordering) byte-identical
-to the serial JSON reference across both the jobs=4 and batch=2
-columnar runs.
+A third stage exercises the world-lineage checkpoints
+(``benchmarks/output/BENCH_worldckpt.json``): after a serial prep sweep
+populates the checkpoint directory, the sweep's *extension* jobs — the
+ones with the longest warmups — run through fresh 4-worker pools
+three times: once with from-birth warmup replay (the cold path without
+checkpoints), and twice with checkpoint restores (jobs=4, and jobs=4
+batch=2).  The parity gate requires every result (atom counts, shares,
+stability, ordering) byte-identical to the serial reference across all
+three parallel runs.
 
 The **parity gates** recompute atoms through both kernel
 implementations, and all trend series through the reopened store, and
@@ -68,13 +67,7 @@ from repro.core.intern import PathInternPool
 from repro.core.kernel import columnar_atoms, compute_atoms_reference
 from repro.core.sanitize import sanitize
 from repro.core.stability import maximized_prefix_match
-from repro.engine.exchange import decode_result_segment, encode_result_segment
-from repro.engine.jobs import (
-    build_jobs,
-    clear_worker_state,
-    result_from_payload,
-    result_to_payload,
-)
+from repro.engine.jobs import build_jobs, clear_worker_state, result_to_payload
 from repro.engine.scheduler import ExecutionEngine
 from repro.serve import encode_body, serve_in_thread
 from repro.simulation.scenario import SimulatedInternet
@@ -300,12 +293,12 @@ def serve_benchmark(smoke):
     }
 
 
-def exchange_benchmark(smoke):
-    """Cold parallel extension sweep: JSON replay vs columnar + restore.
+def world_checkpoint_benchmark(smoke):
+    """Cold parallel extension sweep: from-birth replay vs checkpoints.
 
-    The realistic cold case the exchange plane targets is *extending*
-    an existing sweep: the new quarters carry the longest warmups, and
-    on the legacy path every freshly forked worker replays that entire
+    The realistic cold case world checkpoints target is *extending* an
+    existing sweep: the new quarters carry the longest warmups, and
+    without checkpoints every freshly forked worker replays that entire
     history from the world's birth.  The IPv6 trend sweep is where the
     replay tax bites hardest — world evolution advances both families,
     but an IPv6 job only renders the (much smaller) IPv6 table, so a
@@ -314,10 +307,10 @@ def exchange_benchmark(smoke):
     cadence, saving world-lineage checkpoints at stride boundaries
     (snapshot computation is *not* repeated — the checkpoints capture
     evolution state only); the extension jobs then run through fresh
-    4-worker pools on both transports.  The parity gate requires
-    byte-identical ``result_to_payload`` JSON for every job across
-    serial JSON / jobs=4 columnar / jobs=4 batch=2 columnar.  CI gates
-    on parity only, never on timings.
+    4-worker pools with and without restores.  The parity gate
+    requires byte-identical ``result_to_payload`` JSON for every job
+    across serial / jobs=4 replay / jobs=4 checkpoints / jobs=4 batch=2
+    checkpoints.  CI gates on parity only, never on timings.
     """
     from repro.engine.checkpoint import WorldCheckpoint
     from repro.net.prefix import AF_INET6
@@ -353,8 +346,7 @@ def exchange_benchmark(smoke):
         prep_seconds = time.perf_counter() - started
         checkpoints = len(list(Path(checkpoint_dir).glob("world-*.ckpt")))
 
-        # Serial JSON reference: the pre-PR default path, replaying the
-        # warmup once in-process.
+        # Serial reference: replays the warmup once in-process.
         clear_worker_state()
         started = time.perf_counter()
         serial = ExecutionEngine(jobs=1).run(list(tail))
@@ -368,51 +360,19 @@ def exchange_benchmark(smoke):
             results = engine.run(list(tail))
             return time.perf_counter() - started, results
 
-        json_seconds, json_results = cold_parallel(exchange="json")
-        columnar_seconds, columnar_results = cold_parallel(
-            exchange="columnar", world_checkpoint_dir=checkpoint_dir
+        replay_seconds, replay_results = cold_parallel()
+        restore_seconds, restore_results = cold_parallel(
+            world_checkpoint_dir=checkpoint_dir
         )
         batch_seconds, batch_results = cold_parallel(
-            batch=2, exchange="columnar", world_checkpoint_dir=checkpoint_dir
+            batch=2, world_checkpoint_dir=checkpoint_dir
         )
 
-    parity = (
-        [payload_bytes(r) for r in json_results] == reference
-        and [payload_bytes(r) for r in columnar_results] == reference
-        and [payload_bytes(r) for r in batch_results] == reference
+    parity = all(
+        [payload_bytes(r) for r in results] == reference
+        for results in (replay_results, restore_results, batch_results)
     )
-
-    # Codec microbenchmark: one result through each transport encoding.
-    sample = serial[-1]
-    image = encode_result_segment(sample)
-    payload_text = json.dumps(result_to_payload(sample))
-    rounds = 200 if smoke else 2000
-
-    def ops_per_sec(function):
-        started = time.perf_counter()
-        for _ in range(rounds):
-            function()
-        elapsed = time.perf_counter() - started
-        return rounds / elapsed if elapsed else None
-
-    codec = {
-        "segment_bytes": len(image),
-        "json_bytes": len(payload_text.encode("utf-8")),
-        "encode_columnar_per_sec": ops_per_sec(
-            lambda: encode_result_segment(sample)
-        ),
-        "decode_columnar_per_sec": ops_per_sec(
-            lambda: decode_result_segment(image)
-        ),
-        "encode_json_per_sec": ops_per_sec(
-            lambda: json.dumps(result_to_payload(sample))
-        ),
-        "decode_json_per_sec": ops_per_sec(
-            lambda: result_from_payload(json.loads(payload_text))
-        ),
-    }
-
-    speedup = json_seconds / columnar_seconds if columnar_seconds else None
+    speedup = replay_seconds / restore_seconds if restore_seconds else None
     return {
         "smoke": smoke,
         "world": {"seed": STORE_WORLD.seed, "as_scale": STORE_WORLD.as_scale},
@@ -423,17 +383,16 @@ def exchange_benchmark(smoke):
         "world_checkpoints": checkpoints,
         "phases": {
             "prep_checkpoint_seconds": prep_seconds,
-            "serial_json_reference_seconds": serial_seconds,
-            "cold_json_jobs4_seconds": json_seconds,
-            "cold_columnar_jobs4_seconds": columnar_seconds,
-            "cold_columnar_batch2_seconds": batch_seconds,
+            "serial_reference_seconds": serial_seconds,
+            "cold_replay_jobs4_seconds": replay_seconds,
+            "cold_checkpoint_jobs4_seconds": restore_seconds,
+            "cold_checkpoint_batch2_seconds": batch_seconds,
         },
         "speedup": {
             "cold_parallel_sweep": speedup,
             "target": 1.5,
             "meets_target": speedup is not None and speedup >= 1.5,
         },
-        "codec": codec,
         "parity": {"jobs": extension * 3, "identical": parity},
     }
 
@@ -457,8 +416,8 @@ def main(argv=None):
         "--store-output", type=Path, default=OUTPUT_DIR / "BENCH_store.json",
     )
     parser.add_argument(
-        "--exchange-output", type=Path,
-        default=OUTPUT_DIR / "BENCH_exchange.json",
+        "--worldckpt-output", type=Path,
+        default=OUTPUT_DIR / "BENCH_worldckpt.json",
     )
     args = parser.parse_args(argv)
 
@@ -596,16 +555,17 @@ def main(argv=None):
           f"  cache {serve['cache']['hits']} hits"
           f" / {serve['cache']['misses']} misses")
 
-    exchange = exchange_benchmark(args.smoke)
-    args.exchange_output.parent.mkdir(parents=True, exist_ok=True)
-    args.exchange_output.write_text(json.dumps(exchange, indent=2) + "\n",
-                                    encoding="utf-8")
-    print(f"exchange: {exchange['extension_jobs']} extension job(s)"
-          f"  cold json {exchange['phases']['cold_json_jobs4_seconds']:.2f} s"
-          f"  cold columnar"
-          f" {exchange['phases']['cold_columnar_jobs4_seconds']:.2f} s"
-          f"  ({exchange['speedup']['cold_parallel_sweep']:.1f}x)")
-    print(f"wrote {args.exchange_output}")
+    worldckpt = world_checkpoint_benchmark(args.smoke)
+    args.worldckpt_output.parent.mkdir(parents=True, exist_ok=True)
+    args.worldckpt_output.write_text(json.dumps(worldckpt, indent=2) + "\n",
+                                     encoding="utf-8")
+    phases = worldckpt["phases"]
+    print(f"world checkpoints: {worldckpt['extension_jobs']} extension job(s)"
+          f"  cold replay {phases['cold_replay_jobs4_seconds']:.2f} s"
+          f"  cold + checkpoints"
+          f" {phases['cold_checkpoint_jobs4_seconds']:.2f} s"
+          f"  ({worldckpt['speedup']['cold_parallel_sweep']:.1f}x)")
+    print(f"wrote {args.worldckpt_output}")
 
     failed = False
     if not parity:
@@ -632,17 +592,17 @@ def main(argv=None):
     else:
         print(f"serve parity OK: {serve['parity']['queries']} live queries"
               " identical to direct store reads")
-    if not exchange["parity"]["identical"]:
-        print("PARITY FAILURE: columnar exchange results differ from the"
-              " serial JSON path", file=sys.stderr)
+    if not worldckpt["parity"]["identical"]:
+        print("PARITY FAILURE: parallel world-checkpoint results differ"
+              " from the serial path", file=sys.stderr)
         failed = True
     else:
-        print(f"exchange parity OK: {exchange['parity']['jobs']} parallel"
-              " results byte-identical to the serial JSON path")
-    if not exchange["speedup"]["meets_target"]:
+        print(f"world-checkpoint parity OK: {worldckpt['parity']['jobs']}"
+              " parallel results byte-identical to the serial path")
+    if not worldckpt["speedup"]["meets_target"]:
         # Timings stay advisory in CI, but the miss should be loud.
-        print("exchange speedup below the 1.5x target: "
-              f"{exchange['speedup']['cold_parallel_sweep']:.2f}x",
+        print("world-checkpoint speedup below the 1.5x target: "
+              f"{worldckpt['speedup']['cold_parallel_sweep']:.2f}x",
               file=sys.stderr)
     return 1 if failed else 0
 

@@ -6,8 +6,9 @@ fixture is authored here: path flaps, withdrawals, re-announcements,
 prefix births, a foreign peer and a withdraw-before-announce), then
 drives the ``repro live`` CLI through three phases:
 
-1. **reference** — an uninterrupted traced run; its ``live.*`` counters
-   are compared against the ``live-soak`` key of
+1. **reference** — an uninterrupted traced run; its ``live.*`` and
+   ``incremental.*`` (the shards' :class:`~repro.core.incremental.AtomIndex`)
+   counters are compared against the ``live-soak`` key of
    ``trace_expectations.json`` (counters only, never timings — the
    same policy as ``check_trace_counters.py``);
 2. **kill** — the same stream stopped after ``--max-windows 2`` with a
@@ -62,8 +63,12 @@ SCENARIO = "live-soak"
 WINDOW = 100
 
 #: Shard workers of every phase; counters are shard-invariant for the
-#: ``live.*`` family, but the fixture pins it anyway.
+#: ``live.*`` family, but ``incremental.rebuilds`` counts one initial
+#: build per shard, so the fixture pins it.
 SHARDS = 2
+
+#: Counter families the gate compares exactly.
+GATED_PREFIXES = ("live.", "incremental.")
 
 #: Windows the kill phase is allowed to close before "crashing".
 KILL_AFTER = 2
@@ -209,7 +214,7 @@ def soak(output_dir: Path) -> Dict:
     counters = {
         name: value
         for name, value in sorted(load_trace(trace_path).counters.items())
-        if name.startswith("live.")
+        if name.startswith(GATED_PREFIXES)
     }
 
     ckpt = output_dir / "live_ckpt"

@@ -9,17 +9,15 @@ and collects the trend series behind Figures 4, 5, 12 and 13.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.atoms import AtomSet
 from repro.core.formation import FormationResult, formation_distances
 from repro.core.fullfeed import feed_summary
-from repro.core.incremental import AtomIndex
 from repro.core.intern import PathInternPool
 from repro.core.pipeline import AtomComputation, compute_policy_atoms
-from repro.core.sanitize import SanitizationConfig, sanitize
+from repro.core.sanitize import SanitizationConfig
 from repro.core.stability import stability_pair
 from repro.core.statistics import GeneralStats, general_stats
 from repro.core.update_correlation import UpdateCorrelation, update_correlation
@@ -49,9 +47,6 @@ class SnapshotSuite:
     after_week: Optional[AtomComputation] = None
     updates: Optional[UpdateCorrelation] = None
     update_record_count: int = 0
-    #: dirty-set / key-recomputation counters when the suite was built
-    #: incrementally (empty on the full-recomputation path)
-    incremental_stats: Dict[str, object] = field(default_factory=dict)
 
     @property
     def atoms(self) -> AtomSet:
@@ -114,7 +109,6 @@ class LongitudinalStudy:
         family: int = AF_INET,
         sanitization: Optional[SanitizationConfig] = None,
         engine: Optional["ExecutionEngine"] = None,
-        incremental: bool = False,
         store_dir: Optional[str] = None,
     ):
         self.simulator = simulator
@@ -129,10 +123,6 @@ class LongitudinalStudy:
         self.store_dir = None if store_dir is None else str(store_dir)
         if self.store_dir is not None and engine is None:
             raise ValueError("store_dir persistence requires an engine")
-        #: maintain atoms across a suite's instants via AtomIndex
-        #: instead of recomputing from scratch (value-identical output)
-        self.incremental = incremental
-        self._index: Optional[AtomIndex] = None
         #: study-lifetime intern pool: consecutive snapshots share most
         #: of their paths, so each normalised path is interned (and
         #: hashed) once for the whole sweep
@@ -179,7 +169,6 @@ class LongitudinalStudy:
             sanitization=self.sanitization,
             with_stability=with_stability,
             with_updates=with_updates,
-            incremental=self.incremental,
             store_dir=self.store_dir,
         )
         quarters_out = self.engine.run(jobs)
@@ -211,44 +200,6 @@ class LongitudinalStudy:
             records, config=self.sanitization, pool=self._ensure_pool()
         )
 
-    def _compute_incremental(self, when: int) -> Tuple[AtomComputation, str]:
-        """One instant through the :class:`AtomIndex`.
-
-        Sanitization still runs per instant (vantage points and the
-        prefix universe legitimately move between snapshots); what the
-        index saves is the O(prefixes x VPs) key recomputation.  A
-        changed vantage-point list invalidates every key, so that case
-        falls back to a full rebuild — seeded with the shared intern
-        pool, which survives rebuilds.
-        """
-        records = traced_records(
-            self.simulator.rib_records(when, family=self.family),
-            source="simulated",
-        )
-        dataset = sanitize(records, self.sanitization)
-        index = self._index
-        if index is not None and index.vantage_points == dataset.vantage_points:
-            index.sync_to(dataset.snapshot, prefixes=dataset.prefixes)
-            mode = "incremental"
-        else:
-            # The index owns a copy: sync_to mutates it, and earlier
-            # instants' datasets must stay pristine for their metrics.
-            # Pool and stats carry over so interning work and counters
-            # survive the rebuild.
-            if index is not None:
-                index.detach()
-            index = AtomIndex(
-                dataset.snapshot.copy(),
-                vantage_points=dataset.vantage_points,
-                prefixes=dataset.prefixes,
-                pool=index.pool if index is not None else self._ensure_pool(),
-                stats=index.stats if index is not None else None,
-            )
-            self._index = index
-            mode = "rebuild"
-        atoms = index.atoms()
-        return AtomComputation(atoms=atoms, dataset=dataset), mode
-
     def snapshot_suite(
         self,
         year: int,
@@ -261,73 +212,16 @@ class LongitudinalStudy:
         times = [
             utc_timestamp(year, month, day, hour) for day, hour in SNAPSHOT_OFFSETS
         ]
-        if not self.incremental:
-            base = self._compute(times[0])
-            suite = SnapshotSuite(
-                year=year, month=month, family=self.family, base=base
-            )
-            if with_updates:
-                records = self._update_records(times[0], update_hours)
-                suite.update_record_count = len(records)
-                suite.updates = update_correlation(base.atoms, records, max_size=7)
-            if with_stability:
-                suite.after_8h = self._compute(times[1])
-                suite.after_24h = self._compute(times[2])
-                suite.after_week = self._compute(times[3])
-            return suite
-        return self._incremental_suite(
-            year, month, times, with_stability, with_updates, update_hours
-        )
-
-    def _incremental_suite(
-        self,
-        year: int,
-        month: int,
-        times: Sequence[int],
-        with_stability: bool,
-        with_updates: bool,
-        update_hours: float,
-    ) -> SnapshotSuite:
-        """The within-quarter walk driven by the :class:`AtomIndex`."""
-        key_base = (
-            self._index.stats.key_recomputations if self._index else 0
-        )
-        dirty_base = len(self._index.stats.dirty_sizes) if self._index else 0
-        timings: List[Tuple[str, float]] = []
-
-        def step(when: int) -> AtomComputation:
-            started = time.perf_counter()
-            computation, mode = self._compute_incremental(when)
-            timings.append((mode, time.perf_counter() - started))
-            return computation
-
-        base = step(times[0])
+        base = self._compute(times[0])
         suite = SnapshotSuite(year=year, month=month, family=self.family, base=base)
         if with_updates:
             records = self._update_records(times[0], update_hours)
             suite.update_record_count = len(records)
             suite.updates = update_correlation(base.atoms, records, max_size=7)
         if with_stability:
-            suite.after_8h = step(times[1])
-            suite.after_24h = step(times[2])
-            suite.after_week = step(times[3])
-        stats = self._index.stats
-        suite.incremental_stats = {
-            "steps": len(timings),
-            "incremental_steps": sum(
-                1 for mode, _ in timings if mode == "incremental"
-            ),
-            "rebuilds": sum(1 for mode, _ in timings if mode == "rebuild"),
-            "key_recomputations": stats.key_recomputations - key_base,
-            "dirty_sizes": stats.dirty_sizes[dirty_base:],
-            "prefix_count": base.atoms.prefix_count(),
-            "seconds_rebuild": sum(
-                seconds for mode, seconds in timings if mode == "rebuild"
-            ),
-            "seconds_incremental": sum(
-                seconds for mode, seconds in timings if mode == "incremental"
-            ),
-        }
+            suite.after_8h = self._compute(times[1])
+            suite.after_24h = self._compute(times[2])
+            suite.after_week = self._compute(times[3])
         return suite
 
     def run_years(

@@ -91,13 +91,6 @@ class RIBSnapshot:
         """
         self._listeners.append(listener)
 
-    def remove_mutation_listener(self, listener: MutationListener) -> None:
-        """Unregister a listener (no-op when absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def _table_for(self, peer_id: PeerId) -> AdjRIBIn:
         table = self._tables.get(peer_id)
         if table is None:

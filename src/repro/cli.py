@@ -121,24 +121,10 @@ def _add_engine_options(parser: argparse.ArgumentParser,
     parser.add_argument("--cache-dir", type=Path, default=None, dest="cache_dir",
                         help="content-addressed result cache directory "
                              "(repeat runs skip recomputation)")
-    parser.add_argument("--incremental", action="store_true",
-                        help="maintain atoms across each quarter's "
-                             "snapshots incrementally (identical results, "
-                             "separate cache key)")
     parser.add_argument("--trace", type=Path, default=None,
                         help="write a JSONL span/counter trace of the run "
                              "to this file (see docs/observability.md); "
                              "output is unchanged")
-    parser.add_argument("--exchange", choices=("json", "columnar"),
-                        default="json",
-                        help="worker result transport on parallel runs: "
-                             "json (default) or the zero-copy columnar "
-                             "plane over shared memory / spool files "
-                             "(identical results)")
-    parser.add_argument("--exchange-dir", type=Path, default=None,
-                        dest="exchange_dir",
-                        help="spool columnar result segments through this "
-                             "directory instead of shared memory")
     parser.add_argument("--world-checkpoint-dir", type=Path, default=None,
                         dest="world_checkpoint_dir",
                         help="persist world-lineage checkpoints here; "
@@ -164,19 +150,13 @@ def _build_engine(args: argparse.Namespace) -> ExecutionEngine:
     return ExecutionEngine(
         jobs=args.jobs,
         batch=args.batch,
-        cache=(
-            ResultCache(args.cache_dir, binary=args.exchange == "columnar")
-            if args.cache_dir
-            else None
-        ),
+        cache=ResultCache(args.cache_dir) if args.cache_dir else None,
         checkpoint=(
             CheckpointLog(args.checkpoint)
             if getattr(args, "checkpoint", None)
             else None
         ),
         hooks=(progress_hook(sys.stderr),) if args.progress else (),
-        exchange=args.exchange,
-        exchange_dir=args.exchange_dir,
         world_checkpoint_dir=args.world_checkpoint_dir,
     )
 
@@ -265,7 +245,6 @@ def cmd_atoms(args: argparse.Namespace) -> int:
         warmup=(),
         times=(stamp,),
         family=family,
-        incremental=args.incremental,
         label=f"atoms@{args.start}",
     )
     quarter = engine.run([job])[0]
@@ -314,7 +293,6 @@ def _run_trend_sweep(args: argparse.Namespace):
         internet,
         family=family,
         engine=engine,
-        incremental=args.incremental,
         store_dir=getattr(args, "store_dir", None),
     )
     results = study.run_years(years, with_stability=not args.no_stability)

@@ -22,17 +22,17 @@ leans on:
 
 :meth:`AtomIndex.atoms` yields an :class:`~repro.core.atoms.AtomSet`
 value-identical to a from-scratch ``compute_atoms`` over the same
-snapshot, vantage points and prefix universe — including atom ids,
-because groups are emitted in first-prefix order, exactly the order
-the batch enumeration discovers them in.
+snapshot and vantage points — including atom ids, because groups are
+emitted in first-prefix order, exactly the order the batch enumeration
+discovers them in.  The live pipeline (:mod:`repro.stream.live`) keeps
+one index per shard and consumes :meth:`AtomIndex.refresh_delta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.bgp.messages import RouteRecord
 from repro.bgp.rib import PeerId, RIBSnapshot
 from repro.core.atoms import AtomSet, PolicyAtom
 from repro.core.intern import PathInternPool
@@ -45,28 +45,18 @@ __all__ = ["AtomIndex", "IncrementalStats", "PathInternPool"]
 
 @dataclass
 class IncrementalStats:
-    """Counters behind the engine's incremental metrics."""
+    """Maintenance counters of one :class:`AtomIndex`."""
 
     #: per-prefix key (re)computations, including the initial build
     key_recomputations: int = 0
-    #: prefixes marked dirty by mutation hooks / universe changes
+    #: prefixes marked dirty by mutation hooks
     dirty_marked: int = 0
     #: refresh passes that had work to do
     refreshes: int = 0
-    #: full rebuilds (initial build, vantage-point changes)
+    #: full rebuilds (the initial build)
     rebuilds: int = 0
     #: dirty-set size of each refresh, in order
     dirty_sizes: List[int] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-safe snapshot of the counters (metrics payloads)."""
-        return {
-            "key_recomputations": self.key_recomputations,
-            "dirty_marked": self.dirty_marked,
-            "refreshes": self.refreshes,
-            "rebuilds": self.rebuilds,
-            "dirty_sizes": list(self.dirty_sizes),
-        }
 
 
 class AtomIndex:
@@ -79,21 +69,17 @@ class AtomIndex:
     repairs the affected groups.  Prefixes never touched keep their
     interned key — no lookups, no hashing.
 
-    Parameters mirror :func:`~repro.core.atoms.compute_atoms`: when
-    ``prefixes`` is given the universe is fixed (use
-    :meth:`set_universe` to move it); otherwise the universe follows
-    the vantage points' tables dynamically.
+    Parameters mirror :func:`~repro.core.atoms.compute_atoms`; the
+    prefix universe follows the vantage points' tables dynamically.
     """
 
     def __init__(
         self,
         snapshot: RIBSnapshot,
         vantage_points: Optional[Sequence[PeerId]] = None,
-        prefixes: Optional[Iterable[Prefix]] = None,
         expand_singleton_sets: bool = True,
         strip_prepending: bool = False,
         pool: Optional[PathInternPool] = None,
-        stats: Optional[IncrementalStats] = None,
     ):
         if pool is not None and (
             pool.expand_singleton_sets != expand_singleton_sets
@@ -108,12 +94,7 @@ class AtomIndex:
         self.pool = pool if pool is not None else PathInternPool(
             expand_singleton_sets, strip_prepending
         )
-        # Passing the predecessor's stats (like its pool) keeps the
-        # counters continuous across index rebuilds.
-        self.stats = stats if stats is not None else IncrementalStats()
-        self._universe: Optional[Set[Prefix]] = (
-            set(prefixes) if prefixes is not None else None
-        )
+        self.stats = IncrementalStats()
         #: prefix -> interned vector (only prefixes with a visible path)
         self._keys: Dict[Prefix, Tuple] = {}
         #: interned vector -> member prefixes
@@ -129,8 +110,6 @@ class AtomIndex:
     def _on_mutation(self, peer_id: PeerId, prefix: Prefix) -> None:
         if peer_id not in self._vp_set:
             return
-        if self._universe is not None and prefix not in self._universe:
-            return
         # Count unique dirty prefixes, not mutation events: a prefix
         # touched twice inside one window is one unit of refresh work,
         # and the dirty-set economy metrics must say so (the set itself
@@ -138,16 +117,6 @@ class AtomIndex:
         if prefix not in self._dirty:
             self._dirty.add(prefix)
             self.stats.dirty_marked += 1
-
-    def apply_record(self, record: RouteRecord) -> None:
-        """Fold one update record into the snapshot (hooks collect the
-        dirty prefixes); convenience for update-stream driven use."""
-        self.snapshot.apply_record(record)
-
-    def apply_records(self, records: Iterable[RouteRecord]) -> None:
-        """Fold an update stream into the snapshot."""
-        for record in records:
-            self.snapshot.apply_record(record)
 
     @property
     def dirty_count(self) -> int:
@@ -198,21 +167,14 @@ class AtomIndex:
             self._groups.setdefault(key, set()).add(prefix)
 
     def _rebuild(self) -> None:
-        """Full recomputation (initial build, VP changes)."""
+        """Full recomputation (the initial build)."""
         tracer = get_tracer()
         with tracer.span("atoms-rebuild") as span:
-            self._keys.clear()
-            self._groups.clear()
-            self._dirty.clear()
             tables = self._tables()
-            if self._universe is not None:
-                universe: Iterable[Prefix] = self._universe
-            else:
-                seen: Set[Prefix] = set()
-                for table in tables:
-                    if table is not None:
-                        seen |= table.prefixes()
-                universe = seen
+            universe: Set[Prefix] = set()
+            for table in tables:
+                if table is not None:
+                    universe |= table.prefixes()
             recomputed = 0
             for prefix in universe:
                 key = self._compute_key(prefix, tables)
@@ -281,61 +243,6 @@ class AtomIndex:
         return dirty
 
     # ------------------------------------------------------------------
-    # Universe and snapshot synchronisation
-    # ------------------------------------------------------------------
-
-    def set_universe(self, prefixes: Iterable[Prefix]) -> None:
-        """Move the fixed prefix universe; only the symmetric
-        difference is (re)computed."""
-        new = set(prefixes)
-        if self._universe is None:
-            raise ValueError(
-                "index was built with a dynamic universe; "
-                "rebuild with an explicit prefix set instead"
-            )
-        for prefix in self._universe - new:
-            self._apply_key(prefix, None)
-            self._dirty.discard(prefix)
-        added = new - self._universe
-        self._universe = new
-        self._dirty |= added
-        self.stats.dirty_marked += len(added)
-
-    def sync_to(self, target: RIBSnapshot,
-                prefixes: Optional[Iterable[Prefix]] = None) -> None:
-        """Mutate the owned snapshot until its vantage-point tables
-        equal ``target``'s, deriving the update stream as a diff.
-
-        Only routes whose attributes actually changed are touched, so
-        the dirty set — and the work :meth:`refresh` does — is
-        proportional to the churn between the two instants, not to
-        table size.  Interned paths make the per-route comparison a
-        pointer check in the common unchanged case.
-        """
-        pool_path = self.pool.path
-        for vp in self.vantage_points:
-            mine = self.snapshot.table(vp)
-            theirs = target.table(vp)
-            my_routes = mine._routes if mine is not None else {}
-            their_routes = theirs._routes if theirs is not None else {}
-            for prefix, attributes in their_routes.items():
-                old = my_routes.get(prefix)
-                if old is not None and (
-                    old.as_path is attributes.as_path
-                    or pool_path(old.as_path) is pool_path(attributes.as_path)
-                ):
-                    continue
-                self.snapshot.announce(vp, prefix, attributes)
-            if my_routes:
-                gone = [p for p in my_routes if p not in their_routes]
-                for prefix in gone:
-                    self.snapshot.withdraw(vp, prefix)
-        if target.timestamp > self.snapshot.timestamp:
-            self.snapshot.timestamp = target.timestamp
-        if prefixes is not None:
-            self.set_universe(prefixes)
-
-    # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
 
@@ -343,7 +250,7 @@ class AtomIndex:
         """The current :class:`AtomSet` (refreshes pending work first).
 
         Identical — atom ids included — to ``compute_atoms`` over the
-        same snapshot/VPs/universe: batch enumeration discovers groups
+        same snapshot and VPs: batch enumeration discovers groups
         in order of their first (smallest) prefix, which is the order
         groups are emitted here.
         """
@@ -357,10 +264,6 @@ class AtomIndex:
             for atom_id, (vector, members) in enumerate(ordered)
         ]
         return AtomSet(atoms, list(self.vantage_points), self.snapshot.timestamp)
-
-    def detach(self) -> None:
-        """Unregister from the snapshot's mutation hooks."""
-        self.snapshot.remove_mutation_listener(self._on_mutation)
 
     def __len__(self) -> int:
         return len(self._groups)

@@ -11,8 +11,6 @@ content-addressed jobs:
 * :mod:`repro.engine.checkpoint` — crash-safe sweep resume, the live
   pipeline's window-boundary :class:`StreamCheckpoint`, and the
   world-lineage :class:`WorldCheckpoint` snapshots;
-* :mod:`repro.engine.exchange` — the zero-copy columnar result plane
-  (shared-memory / spool-file worker exchange);
 * :mod:`repro.engine.metrics` — structured instrumentation hooks.
 
 See ``docs/engine.md`` for the architecture and the cache-key scheme.
@@ -24,12 +22,6 @@ from repro.engine.checkpoint import (
     StreamCheckpoint,
     StreamCheckpointError,
     WorldCheckpoint,
-)
-from repro.engine.exchange import (
-    ExchangeError,
-    ResultPlane,
-    decode_result_segment,
-    encode_result_segment,
 )
 from repro.engine.jobs import (
     QuarterResult,
@@ -48,20 +40,16 @@ __all__ = [
     "CheckpointLog",
     "EngineError",
     "EngineMetrics",
-    "ExchangeError",
     "ExecutionEngine",
     "JobMetric",
     "QuarterResult",
     "ResultCache",
-    "ResultPlane",
     "SnapshotJob",
     "StreamCheckpoint",
     "StreamCheckpointError",
     "WorldCheckpoint",
     "build_jobs",
     "clear_worker_state",
-    "decode_result_segment",
-    "encode_result_segment",
     "execute_snapshot_batch",
     "execute_snapshot_job",
     "job_digest",

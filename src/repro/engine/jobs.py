@@ -68,9 +68,6 @@ class SnapshotJob:
     sanitization: Optional[SanitizationConfig] = None
     with_updates: bool = False
     update_hours: float = 4.0
-    #: maintain atoms across the quarter's instants incrementally
-    #: (AtomIndex) instead of recomputing each snapshot from scratch
-    incremental: bool = False
     #: display label, e.g. ``"2004-01"``
     label: str = ""
     #: calendar position of the quarter
@@ -115,10 +112,6 @@ class SnapshotJob:
             ),
             "with_updates": self.with_updates,
             "update_hours": self.update_hours,
-            # Keyed although results are value-identical either way:
-            # the modes exercise different code paths, and a poisoned
-            # cache must never mask a divergence between them.
-            "incremental": self.incremental,
         }
 
 
@@ -142,8 +135,6 @@ class QuarterResult:
     update_pr_full: Dict[int, Optional[float]] = field(default_factory=dict)
     #: raw route records consumed (metrics input)
     record_count: int = 0
-    #: incremental-maintenance counters (empty for from-scratch runs)
-    incremental: Dict[str, Any] = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +160,6 @@ def result_to_payload(result: QuarterResult) -> Dict[str, Any]:
         "update_record_count": result.update_record_count,
         "update_pr_full": sorted(result.update_pr_full.items()),
         "record_count": result.record_count,
-        "incremental": dict(result.incremental),
     }
 
 
@@ -198,7 +188,6 @@ def result_from_payload(payload: Dict[str, Any]) -> QuarterResult:
         update_record_count=payload["update_record_count"],
         update_pr_full={int(k): v for k, v in payload["update_pr_full"]},
         record_count=payload["record_count"],
-        incremental=dict(payload.get("incremental", {})),
     )
 
 
@@ -252,11 +241,11 @@ def _world_for(job: SnapshotJob):
             internet, applied = restored
             _WORLDS[key] = [internet, applied]
             if tracer.enabled:
-                tracer.count("exchange.world_restores")
-                tracer.count("exchange.world_restored_instants", len(applied))
+                tracer.count("engine.world_restores")
+                tracer.count("engine.world_restored_instants", len(applied))
             return internet, applied
         if tracer.enabled:
-            tracer.count("exchange.world_restore_misses")
+            tracer.count("engine.world_restore_misses")
     internet = SimulatedInternet(job.params, start=job.start)
     entry = [internet, []]
     _WORLDS[key] = entry
@@ -284,7 +273,7 @@ def _maybe_checkpoint_world(job: SnapshotJob, internet, applied) -> None:
     if path is not None:
         tracer = get_tracer()
         if tracer.enabled:
-            tracer.count("exchange.world_saves")
+            tracer.count("engine.world_saves")
 
 
 def execute_snapshot_job(job: SnapshotJob) -> QuarterResult:
@@ -296,10 +285,7 @@ def execute_snapshot_job(job: SnapshotJob) -> QuarterResult:
         internet.advance_to(when)
         applied.append(when)
     study = LongitudinalStudy(
-        internet,
-        family=job.family,
-        sanitization=job.sanitization,
-        incremental=job.incremental,
+        internet, family=job.family, sanitization=job.sanitization
     )
     if job.calendar_year:
         suite = study.snapshot_suite(
@@ -312,18 +298,12 @@ def execute_snapshot_job(job: SnapshotJob) -> QuarterResult:
     else:
         # Ad-hoc instant (``repro atoms``): one base snapshot at an
         # arbitrary timestamp, outside the paper's quarter cadence.
-        if job.incremental:
-            base, _ = study._compute_incremental(job.times[0])
-        else:
-            base = study._compute(job.times[0])
         suite = SnapshotSuite(
             year=0,
             month=job.month,
             family=job.family,
-            base=base,
+            base=study._compute(job.times[0]),
         )
-        if job.incremental and study._index is not None:
-            suite.incremental_stats = study._index.stats.as_dict()
     applied.extend(job.times)
     if job.world_checkpoint_dir is not None:
         _maybe_checkpoint_world(job, internet, applied)
@@ -382,43 +362,27 @@ def persist_suite_part(job: SnapshotJob, suite) -> None:
     write_part(job.store_dir, job_digest(job), snapshots)
 
 
-def execute_snapshot_batch(
-    jobs: Sequence[SnapshotJob],
-    exchange: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
+def execute_snapshot_batch(jobs: Sequence[SnapshotJob]) -> Dict[str, Any]:
     """Pool entry point: run a chronological chunk of jobs as one task.
 
     Batching amortizes pool overhead two ways: the chunk's jobs share
     this worker's cached world lineage back to back (no other task can
     interleave and reset it), and each result crosses the process
-    boundary compactly — by default as its :func:`result_to_payload`
-    dict (the JSON codec the cache persists), or, when ``exchange``
-    carries a :meth:`~repro.engine.exchange.ResultPlane.spec`, as a
-    published binary segment whose ref the parent redeems zero-copy.
-    Per-job wall times are measured here, worker-side, so the scheduler
-    can report them exactly as the unbatched path did.
+    boundary compactly, as its :func:`result_to_payload` dict (the JSON
+    codec the cache persists).  Per-job wall times are measured here,
+    worker-side, so the scheduler can report them exactly as the
+    unbatched path did.
     """
     items: List[Dict[str, Any]] = []
     for job in jobs:
         started = time.perf_counter()
         result = execute_snapshot_job(job)
-        if exchange is not None:
-            from repro.engine.exchange import (
-                encode_result_segment,
-                publish_result,
-            )
-
-            ref = publish_result(exchange, encode_result_segment(result))
-            items.append(
-                {"ref": ref, "seconds": time.perf_counter() - started}
-            )
-        else:
-            items.append(
-                {
-                    "payload": result_to_payload(result),
-                    "seconds": time.perf_counter() - started,
-                }
-            )
+        items.append(
+            {
+                "payload": result_to_payload(result),
+                "seconds": time.perf_counter() - started,
+            }
+        )
     return {"worker": os.getpid(), "items": items}
 
 
@@ -451,7 +415,6 @@ def summarize_suite(job: SnapshotJob, suite) -> QuarterResult:
         update_record_count=suite.update_record_count,
         update_pr_full=pr_full,
         record_count=sum(audit.records for audit in report.audits.values()),
-        incremental=dict(getattr(suite, "incremental_stats", {}) or {}),
     )
 
 
@@ -464,7 +427,6 @@ def build_jobs(
     with_stability: bool = True,
     with_updates: bool = False,
     update_hours: float = 4.0,
-    incremental: bool = False,
     store_dir: Optional[str] = None,
     world_checkpoint_dir: Optional[str] = None,
     world_checkpoint_stride: int = 4,
@@ -493,7 +455,6 @@ def build_jobs(
                 sanitization=sanitization,
                 with_updates=with_updates,
                 update_hours=update_hours,
-                incremental=incremental,
                 label=f"{calendar_year}-{month:02d}",
                 calendar_year=calendar_year,
                 month=month,

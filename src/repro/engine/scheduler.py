@@ -22,13 +22,13 @@ can reproduce the exact world state the serial walk would have had.
 
 Layered on top: the content-addressed :class:`ResultCache` (skip
 recomputation across runs), the :class:`CheckpointLog` (resume a killed
-sweep), instrumentation hooks (:mod:`repro.engine.metrics`), the
-zero-copy result plane (``exchange="columnar"`` moves worker results
-as framed binary segments through shared memory instead of pickled
-JSON dicts — :mod:`repro.engine.exchange`), and world-lineage
-checkpoints (``world_checkpoint_dir`` lets freshly forked workers
-resume world evolution from the nearest saved prefix instead of
+sweep), instrumentation hooks (:mod:`repro.engine.metrics`), and
+world-lineage checkpoints (``world_checkpoint_dir`` lets freshly forked
+workers resume world evolution from the nearest saved prefix instead of
 replaying from birth — :class:`repro.engine.checkpoint.WorldCheckpoint`).
+Worker results cross the process boundary as their
+:func:`~repro.engine.jobs.result_to_payload` dicts, the same JSON codec
+the cache persists.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.engine.cache import ResultCache, job_digest
 from repro.engine.checkpoint import CheckpointLog
-from repro.engine.exchange import ResultPlane, decode_result_segment
 from repro.engine.jobs import (
     QuarterResult,
     SnapshotJob,
@@ -75,8 +74,6 @@ class ExecutionEngine:
         hooks: Sequence[Hook] = (),
         metrics: Optional[EngineMetrics] = None,
         batch: int = 1,
-        exchange: str = "json",
-        exchange_dir: Optional[os.PathLike] = None,
         world_checkpoint_dir: Optional[os.PathLike] = None,
         world_checkpoint_stride: int = 4,
     ):
@@ -84,21 +81,10 @@ class ExecutionEngine:
             raise ValueError("jobs must be >= 1")
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if exchange not in ("json", "columnar"):
-            raise ValueError("exchange must be 'json' or 'columnar'")
         self.jobs = jobs
         #: jobs per pool task on the parallel path; >1 amortizes task
         #: pickling/IPC over chronological chunks (serial runs ignore it)
         self.batch = batch
-        #: worker→parent result transport on the parallel path:
-        #: ``json`` round-trips payload dicts through pickle (the
-        #: compatibility path), ``columnar`` publishes framed binary
-        #: segments through shared memory / an mmap spool and the
-        #: parent reconstructs zero-copy (repro.engine.exchange)
-        self.exchange = exchange
-        #: forces the columnar transport onto a file spool there
-        #: (None lets the plane pick shared memory when available)
-        self.exchange_dir = exchange_dir
         #: world-lineage checkpoint directory stamped onto every job
         #: that does not already carry one (repro.engine.checkpoint)
         self.world_checkpoint_dir = world_checkpoint_dir
@@ -123,13 +109,10 @@ class ExecutionEngine:
         source: str,
         seconds: float = 0.0,
         worker: Optional[int] = None,
-        codec: str = "json",
-        exchange_bytes: int = 0,
-        segment: Optional[bytes] = None,
     ) -> None:
         if source == SOURCE_COMPUTED:
             if self.cache is not None:
-                self.cache.put(key, result, segment=segment)
+                self.cache.put(key, result)
             if self.checkpoint is not None:
                 self.checkpoint.record(key, result)
         elif source == SOURCE_CACHE and self.checkpoint is not None:
@@ -150,9 +133,6 @@ class ExecutionEngine:
                 "seconds": seconds,
                 "records": result.record_count,
                 "worker": worker,
-                "incremental": dict(result.incremental),
-                "codec": codec,
-                "exchange_bytes": exchange_bytes,
             },
         )
 
@@ -278,94 +258,57 @@ class ExecutionEngine:
 
     def _run_parallel(self, jobs, keys, results, pending) -> None:
         workers = min(self.jobs, len(pending))
-        plane: Optional[ResultPlane] = None
-        if self.exchange == "columnar":
-            plane = ResultPlane(
-                mode="file" if self.exchange_dir is not None else "auto",
-                directory=self.exchange_dir,
-            )
-        try:
-            spec = plane.spec() if plane is not None else None
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Chronological submission order matters: it lets each
-                # worker's cached world advance monotonically through the
-                # sweep instead of rebuilding per job.  Batching preserves
-                # it — chunks are consecutive runs of the pending list, so
-                # a chunk's jobs share one worker's world back to back.
-                futures: Dict[Any, List[int]] = {}
-                for chunk_start in range(0, len(pending), self.batch):
-                    chunk = pending[chunk_start:chunk_start + self.batch]
-                    for index in chunk:
-                        self._emit(
-                            "job_start",
-                            {
-                                "index": index,
-                                "label": jobs[index].label,
-                                "key": keys[index],
-                            },
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Chronological submission order matters: it lets each
+            # worker's cached world advance monotonically through the
+            # sweep instead of rebuilding per job.  Batching preserves
+            # it — chunks are consecutive runs of the pending list, so
+            # a chunk's jobs share one worker's world back to back.
+            futures: Dict[Any, List[int]] = {}
+            for chunk_start in range(0, len(pending), self.batch):
+                chunk = pending[chunk_start:chunk_start + self.batch]
+                for index in chunk:
+                    self._emit(
+                        "job_start",
+                        {
+                            "index": index,
+                            "label": jobs[index].label,
+                            "key": keys[index],
+                        },
+                    )
+                future = pool.submit(
+                    execute_snapshot_batch, [jobs[index] for index in chunk]
+                )
+                futures[future] = chunk
+            outstanding = set(futures)
+            tracer = get_tracer()
+            while outstanding:
+                done, outstanding = wait(
+                    outstanding, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    chunk = futures[future]
+                    payload = future.result()
+                    worker = payload["worker"]
+                    for index, item in zip(chunk, payload["items"]):
+                        result = result_from_payload(item["payload"])
+                        results[index] = result
+                        # Worker-side stage spans stay in the worker;
+                        # the job's wall time crosses the pool boundary
+                        # as a plain duration, recorded ending now.
+                        tracer.record_span(
+                            "engine-job",
+                            item["seconds"],
+                            label=jobs[index].label,
+                            source=SOURCE_COMPUTED,
+                            worker=worker,
                         )
-                    future = pool.submit(
-                        execute_snapshot_batch,
-                        [jobs[index] for index in chunk],
-                        spec,
-                    )
-                    futures[future] = chunk
-                outstanding = set(futures)
-                tracer = get_tracer()
-                want_segment = self.cache is not None and self.cache.binary
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        chunk = futures[future]
-                        payload = future.result()
-                        worker = payload["worker"]
-                        for index, item in zip(chunk, payload["items"]):
-                            segment: Optional[bytes] = None
-                            exchange_bytes = 0
-                            codec = "json"
-                            if plane is not None and "ref" in item:
-                                codec = "columnar"
-                                with tracer.span(
-                                    "exchange-claim", label=jobs[index].label
-                                ):
-                                    with plane.claim(item["ref"]) as view:
-                                        result = decode_result_segment(view)
-                                        exchange_bytes = len(view)
-                                        if want_segment:
-                                            segment = bytes(view)
-                                if tracer.enabled:
-                                    tracer.count("exchange.results_claimed")
-                                    tracer.count(
-                                        "exchange.bytes_claimed",
-                                        exchange_bytes,
-                                    )
-                            else:
-                                result = result_from_payload(item["payload"])
-                            results[index] = result
-                            # Worker-side stage spans stay in the worker;
-                            # the job's wall time crosses the pool boundary
-                            # as a plain duration, recorded ending now.
-                            tracer.record_span(
-                                "engine-job",
-                                item["seconds"],
-                                label=jobs[index].label,
-                                source=SOURCE_COMPUTED,
-                                worker=worker,
-                            )
-                            self._finish(
-                                index,
-                                jobs[index],
-                                keys[index],
-                                result,
-                                SOURCE_COMPUTED,
-                                seconds=item["seconds"],
-                                worker=worker,
-                                codec=codec,
-                                exchange_bytes=exchange_bytes,
-                                segment=segment,
-                            )
-        finally:
-            if plane is not None:
-                plane.close()
+                        self._finish(
+                            index,
+                            jobs[index],
+                            keys[index],
+                            result,
+                            SOURCE_COMPUTED,
+                            seconds=item["seconds"],
+                            worker=worker,
+                        )

@@ -81,6 +81,13 @@ def _read_exact(stream: BinaryIO, count: int) -> Optional[bytes]:
     return data
 
 
+def _need(data: "bytes | memoryview", offset: int, count: int,
+          what: str) -> None:
+    """Raise :class:`MRTError` unless ``count`` bytes follow ``offset``."""
+    if offset + count > len(data):
+        raise MRTError(f"{what} truncated")
+
+
 def _decode_nlri(
     data: "bytes | memoryview", offset: int, family: int
 ) -> Tuple[Prefix, int]:
@@ -89,12 +96,14 @@ def _decode_nlri(
         raise MRTError("NLRI runs past the buffer")
     bit_length = data[offset]
     offset += 1
+    total_bits = 32 if family == AF_INET else 128
+    if bit_length > total_bits:
+        raise MRTError(f"NLRI prefix length {bit_length} exceeds {total_bits}")
     byte_length = (bit_length + 7) // 8
     chunk = data[offset : offset + byte_length]
     if len(chunk) != byte_length:
         raise MRTError("NLRI prefix bytes truncated")
     offset += byte_length
-    total_bits = 32 if family == AF_INET else 128
     value = int.from_bytes(chunk, "big") << (total_bits - 8 * byte_length)
     return Prefix.from_host_bits(family, value, bit_length), offset
 
@@ -203,14 +212,18 @@ def _decode_attributes(
                     )
                 )
         elif type_code == ATTR_MP_REACH_NLRI:
+            # AFI(2) SAFI(1) next-hop length(1), next hop, reserved(1)
+            _need(body, 0, 4, "MP_REACH_NLRI header")
             afi = _U16.unpack_from(body, 0)[0]
             next_hop_length = body[3]
             pos = 4 + next_hop_length + 1  # skip next hop + reserved byte
+            _need(body, 4, next_hop_length + 1, "MP_REACH_NLRI next hop")
             family = AF_INET6 if afi == AFI_IPV6 else AF_INET
             while pos < len(body):
                 prefix, pos = _decode_nlri(body, pos, family)
                 v6_announced.append(prefix)
         elif type_code == ATTR_MP_UNREACH_NLRI:
+            _need(body, 0, 3, "MP_UNREACH_NLRI header")  # AFI(2) SAFI(1)
             afi = _U16.unpack_from(body, 0)[0]
             pos = 3
             family = AF_INET6 if afi == AFI_IPV6 else AF_INET
@@ -322,29 +335,29 @@ class MRTReader:
     # -- TABLE_DUMP_V2 --------------------------------------------------
 
     def _load_peer_index(self, body: "bytes | memoryview") -> None:
+        _need(body, 0, 6, "PEER_INDEX_TABLE header")
         offset = 4  # collector BGP ID
         view_length = _U16.unpack_from(body, offset)[0]
         offset += 2 + view_length
+        _need(body, offset, 2, "PEER_INDEX_TABLE peer count")
         peer_count = _U16.unpack_from(body, offset)[0]
         offset += 2
         peers: List[Tuple[int, str]] = []
         for _ in range(peer_count):
+            _need(body, offset, 5, "peer entry header")
             peer_type = body[offset]
             offset += 1 + 4  # type + BGP ID
-            if peer_type & 0x01:  # IPv6 address
-                raw = body[offset : offset + 16]
-                offset += 16
+            addr_len = 16 if peer_type & 0x01 else 4
+            asn_size = 4 if peer_type & 0x02 else 2
+            _need(body, offset, addr_len + asn_size, "peer entry")
+            raw = body[offset : offset + addr_len]
+            offset += addr_len
+            if addr_len == 16:
                 address = str(Prefix(AF_INET6, int.from_bytes(raw, "big"), 128)).split("/")[0]
             else:
-                raw = body[offset : offset + 4]
-                offset += 4
                 address = ".".join(str(b) for b in raw)
-            if peer_type & 0x02:
-                asn = _U32.unpack_from(body, offset)[0]
-                offset += 4
-            else:
-                asn = _U16.unpack_from(body, offset)[0]
-                offset += 2
+            asn = (_U32 if asn_size == 4 else _U16).unpack_from(body, offset)[0]
+            offset += asn_size
             peers.append((asn, address))
         self._peers = peers
 
@@ -353,13 +366,17 @@ class MRTReader:
         family = AF_INET if subtype == TDV2_RIB_IPV4_UNICAST else AF_INET6
         offset = 4  # sequence number
         prefix, offset = _decode_nlri(body, offset, family)
+        _need(body, offset, 2, "RIB entry count")
         entry_count = _U16.unpack_from(body, offset)[0]
         offset += 2
         for _ in range(entry_count):
+            # peer index(2) originated time(4) attribute length(2)
+            _need(body, offset, 8, "RIB entry header")
             peer_index = _U16.unpack_from(body, offset)[0]
             offset += 2 + 4  # + originated time
             attr_length = _U16.unpack_from(body, offset)[0]
             offset += 2
+            _need(body, offset, attr_length, "RIB entry attributes")
             attr_block = body[offset : offset + attr_length]
             offset += attr_length
             try:

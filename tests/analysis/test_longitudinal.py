@@ -82,54 +82,3 @@ class TestTrendSeries:
         threshold, peers = fullfeed_trend_series(study_results)
         assert threshold.last() >= threshold.points[0][1]  # table growth
         assert peers.last() >= PARAMS.min_fullfeed_peers
-
-
-class TestIncrementalStudy:
-    """snapshot_suite(incremental=True) is value-identical to the
-    from-scratch walk, atom by atom, across consecutive quarters."""
-
-    def _studies(self):
-        full = LongitudinalStudy(SimulatedInternet(PARAMS, start="2006-01-01"))
-        inc = LongitudinalStudy(
-            SimulatedInternet(PARAMS, start="2006-01-01"), incremental=True
-        )
-        return full, inc
-
-    @staticmethod
-    def _assert_same_atoms(ours, theirs):
-        assert len(ours.atoms) == len(theirs.atoms)
-        for a, b in zip(ours.atoms.atoms, theirs.atoms.atoms):
-            assert a.atom_id == b.atom_id
-            assert a.prefixes == b.prefixes
-            assert a.paths == b.paths
-
-    def test_suites_identical_across_quarters(self):
-        full, inc = self._studies()
-        for year, month in ((2006, 1), (2006, 4)):
-            suite_full = full.snapshot_suite(year, month, with_stability=True)
-            suite_inc = inc.snapshot_suite(year, month, with_stability=True)
-            for attr in ("base", "after_8h", "after_24h", "after_week"):
-                self._assert_same_atoms(
-                    getattr(suite_inc, attr), getattr(suite_full, attr)
-                )
-            assert suite_inc.stats() == suite_full.stats()
-            assert suite_inc.stability() == suite_full.stability()
-            assert suite_inc.feed() == suite_full.feed()
-
-    def test_incremental_stats_track_the_walk(self):
-        _, inc = self._studies()
-        suite = inc.snapshot_suite(2006, 1, with_stability=True)
-        stats = suite.incremental_stats
-        assert stats["steps"] == 4
-        assert stats["rebuilds"] + stats["incremental_steps"] == 4
-        assert stats["rebuilds"] >= 1  # the first instant has no index yet
-        assert stats["prefix_count"] == suite.atoms.prefix_count()
-        # The quarter's later instants reuse the index: their dirty sets
-        # must stay well under a per-snapshot full recomputation.
-        if stats["incremental_steps"]:
-            assert max(stats["dirty_sizes"]) < stats["prefix_count"]
-
-    def test_full_path_untouched_by_flag_default(self):
-        full, _ = self._studies()
-        suite = full.snapshot_suite(2006, 1, with_stability=False)
-        assert suite.incremental_stats == {}

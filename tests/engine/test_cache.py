@@ -88,6 +88,22 @@ class TestDigest:
         """Cosmetic fields must not fragment the cache."""
         assert job_digest(make_job(label="a")) == job_digest(make_job(label="b"))
 
+    def test_execution_wiring_is_not_keyed(self):
+        """Where results land and how fast a world state is reached must
+        not invalidate existing caches."""
+        base = make_job()
+        wired = [
+            make_job(world_checkpoint_dir="/tmp/x"),
+            make_job(world_checkpoint_stride=2),
+            make_job(store_dir="/tmp/store"),
+            make_job(
+                world_checkpoint_dir="/tmp/x",
+                world_checkpoint_stride=2,
+                store_dir="/tmp/store",
+            ),
+        ]
+        assert {job_digest(job) for job in wired} == {job_digest(base)}
+
     def test_salt_is_v3(self):
         """The canonical-form fix must invalidate v2 entries."""
         assert CACHE_SALT == "repro-engine-v3"

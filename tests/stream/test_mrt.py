@@ -1,6 +1,7 @@
 """Tests for the MRT (RFC 6396) reader/writer."""
 
 import io
+import struct
 
 import pytest
 
@@ -8,9 +9,15 @@ from repro.bgp.attributes import Community, PathAttributes
 from repro.net.aspath import ASPath
 from repro.net.prefix import AF_INET6, Prefix
 from repro.stream.mrt import (
+    BGP4MP_MESSAGE_AS4,
+    MRT_BGP4MP,
+    MRT_TABLE_DUMP_V2,
+    TDV2_PEER_INDEX_TABLE,
+    TDV2_RIB_IPV4_UNICAST,
     MRTError,
     MRTWriter,
     _decode_as_path,
+    _decode_attributes,
     _decode_nlri,
     _encode_nlri,
     read_mrt,
@@ -194,6 +201,92 @@ class TestRobustness:
     def test_invalid_as_path_segment_is_mrt_error(self, body):
         with pytest.raises(MRTError, match="invalid AS_PATH segment"):
             _decode_as_path(body, 4)
+
+
+def mrt_record(mrt_type, subtype, body, timestamp=7):
+    return struct.pack(">IHHI", timestamp, mrt_type, subtype, len(body)) + body
+
+
+class TestShortBodiesAreMRTError:
+    """Short fixed-layout fields raise MRTError, never struct.error or
+    IndexError."""
+
+    @pytest.mark.parametrize(
+        "block",
+        [
+            bytes([0x80, 14, 1, 0]),  # MP_REACH_NLRI, 1-byte body
+            bytes([0x80, 14, 2, 0, 2]),  # MP_REACH_NLRI, no next-hop length
+            bytes([0x80, 15, 1, 0]),  # MP_UNREACH_NLRI, 1-byte body
+            bytes([0x80, 14, 5, 0, 2, 1, 16, 0]),  # next hop past the body
+        ],
+        ids=["mp-reach-1", "mp-reach-2", "mp-unreach-1", "mp-reach-next-hop"],
+    )
+    def test_short_mp_attribute(self, block):
+        with pytest.raises(MRTError):
+            _decode_attributes(block, 4)
+
+    def test_oversized_nlri_length(self):
+        with pytest.raises(MRTError, match="exceeds 32"):
+            _decode_nlri(bytes([33, 10, 0, 0, 0, 0]), 0, 4)
+
+    def test_update_with_short_mp_reach_is_counted_corrupt(self):
+        attrs_block = bytes([0x80, 14, 1, 0])
+        message = (
+            b"\xff" * 16
+            + (19 + 2 + 2 + len(attrs_block)).to_bytes(2, "big")
+            + bytes([2])  # UPDATE
+            + (0).to_bytes(2, "big")  # no withdrawn routes
+            + len(attrs_block).to_bytes(2, "big")
+            + attrs_block
+        )
+        body = (
+            (65001).to_bytes(4, "big") + (65000).to_bytes(4, "big")
+            + (0).to_bytes(2, "big") + (1).to_bytes(2, "big")  # ifindex, AFI
+            + bytes([10, 0, 0, 1]) + bytes([10, 0, 0, 2])
+            + message
+        )
+        stream = io.BytesIO(mrt_record(MRT_BGP4MP, BGP4MP_MESSAGE_AS4, body))
+        records = list(read_mrt(stream))
+        assert len(records) == 1
+        assert records[0].is_corrupt
+        assert "MP_REACH_NLRI" in records[0].corrupt_warning
+        assert records[0].peer_asn == 65001
+
+    def test_five_byte_peer_index(self):
+        stream = io.BytesIO(
+            mrt_record(MRT_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE, bytes(5))
+        )
+        with pytest.raises(MRTError, match="PEER_INDEX_TABLE"):
+            list(read_mrt(stream))
+
+    def test_peer_entry_cut_short(self):
+        body = bytes(4) + (0).to_bytes(2, "big") + (1).to_bytes(2, "big")
+        body += bytes([0x02]) + bytes(4) + bytes([10, 0])  # address cut
+        stream = io.BytesIO(
+            mrt_record(MRT_TABLE_DUMP_V2, TDV2_PEER_INDEX_TABLE, body)
+        )
+        with pytest.raises(MRTError, match="peer entry"):
+            list(read_mrt(stream))
+
+    def test_rib_entry_header_cut_short(self):
+        buffer = io.BytesIO()
+        MRTWriter(buffer).write_peer_index([(65001, "10.0.0.1")])
+        body = bytes(4) + _encode_nlri(Prefix.parse("10.0.0.0/8"))
+        body += (1).to_bytes(2, "big") + bytes(3)  # 3 of 8 header bytes
+        buffer.write(mrt_record(MRT_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST, body))
+        buffer.seek(0)
+        with pytest.raises(MRTError, match="RIB entry header"):
+            list(read_mrt(buffer))
+
+    def test_rib_entry_attributes_cut_short(self):
+        buffer = io.BytesIO()
+        MRTWriter(buffer).write_peer_index([(65001, "10.0.0.1")])
+        body = bytes(4) + _encode_nlri(Prefix.parse("10.0.0.0/8"))
+        body += (1).to_bytes(2, "big") + bytes(6) + (40).to_bytes(2, "big")
+        buffer.write(mrt_record(MRT_TABLE_DUMP_V2, TDV2_RIB_IPV4_UNICAST, body))
+        buffer.seek(0)
+        with pytest.raises(MRTError, match="RIB entry attributes"):
+            list(read_mrt(buffer))
 
 
 class TestPipelineIntegration:
