@@ -15,13 +15,15 @@ so the cost per origin is close to one graph traversal regardless of
 unit count; groups split only where a policy actually distinguishes
 units — exactly where atoms split.
 
-Two structural optimisations keep snapshots fast at scale:
+Three structural optimisations keep snapshots fast at scale:
 
 * adjacency is flattened once per graph version into plain dicts of
   tuples (:class:`GraphView`);
 * peer- and provider-class routes only matter if they can flow *down*
-  to a vantage point, so those phases are pruned to the VP customer
-  cone's ancestor set.
+  to a vantage point, so those phases walk only the neighbours inside
+  the VP customer cone's ancestor set;
+* messages carry unit ids, and a transit's export rules act on them as
+  per-neighbour sets of blocked ids, built once per call.
 
 Paths are stored as the receiving AS's table entry: ``(next_hop, ...,
 origin)`` including origin prepending.  Vantage-point rendering prepends
@@ -31,10 +33,10 @@ the peer's own ASN, matching what collectors log.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import itemgetter
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -89,24 +91,27 @@ class GraphView:
     ``cone`` contains every AS from which some target is reachable by
     walking provider->customer links (including the targets themselves).
     Peer/provider routes settled outside the cone can never reach a
-    target, so propagation skips them.
+    target, so propagation skips them: ``cone_customers`` and
+    ``cone_peers`` hold each AS's customers and peers inside the cone
+    (ASes with none are left out), the only neighbours those routes are
+    ever offered to.  ``providers`` holds every AS's providers.
     """
 
     def __init__(self, graph: ASGraph, targets: FrozenSet[int]):
         self.version = graph.version
         self.targets = targets
         self.providers: Dict[int, Tuple[int, ...]] = {}
-        self.customers: Dict[int, Tuple[int, ...]] = {}
-        self.peers: Dict[int, Tuple[int, ...]] = {}
+        customers: Dict[int, Tuple[int, ...]] = {}
+        peers: Dict[int, Tuple[int, ...]] = {}
         for asn in graph.nodes:
             neighbors = graph.neighbors(asn)
             self.providers[asn] = tuple(
                 n for n, rel in neighbors.items() if rel == Relationship.PROVIDER
             )
-            self.customers[asn] = tuple(
+            customers[asn] = tuple(
                 n for n, rel in neighbors.items() if rel == Relationship.CUSTOMER
             )
-            self.peers[asn] = tuple(
+            peers[asn] = tuple(
                 n for n, rel in neighbors.items() if rel == Relationship.PEER
             )
         cone: Set[int] = set(targets)
@@ -118,14 +123,16 @@ class GraphView:
                     cone.add(provider)
                     frontier.append(provider)
         self.cone = cone
-
-
-def _filtered(policy: Optional[TransitPolicy], units: Tuple[PolicyUnit, ...],
-              neighbor: int) -> Tuple[PolicyUnit, ...]:
-    """Units of a grouped message that survive the exporter's filters."""
-    if policy is None or not policy.rules:
-        return units
-    return tuple(u for u in units if not policy.blocks(u.tag, neighbor))
+        self.cone_customers: Dict[int, Tuple[int, ...]] = {
+            asn: inside
+            for asn, below in customers.items()
+            if (inside := tuple(n for n in below if n in cone))
+        }
+        self.cone_peers: Dict[int, Tuple[int, ...]] = {
+            asn: inside
+            for asn, across in peers.items()
+            if (inside := tuple(n for n in across if n in cone))
+        }
 
 
 def _relevant_transits(
@@ -134,9 +141,8 @@ def _relevant_transits(
     """The transits whose export rules can split this origin's groups.
 
     A rule only acts on the tag it names, so a transit naming none of
-    the units' tags passes every group through whole.  Membership is
-    probed per tag: ``tags.isdisjoint(rules)`` would hash every one of
-    a transit's rule keys instead.
+    the units' tags passes every group through whole.  The disjointness
+    test walks the smaller of the tag set and the transit's rule keys.
     """
     tags = {unit.tag for unit in units if unit.tag is not None}
     if not tags:
@@ -144,8 +150,50 @@ def _relevant_transits(
     return {
         asn: transit
         for asn, transit in transit_policies.items()
-        if any(tag in transit.rules for tag in tags)
+        if not transit.rules.keys().isdisjoint(tags)
     }
+
+
+#: {transit: {neighbour: unit ids the transit does not export to it}}
+_Blocked = Dict[int, Dict[int, Set[int]]]
+
+
+def _blocked_units(transits: Dict[int, TransitPolicy],
+                   units: Tuple[PolicyUnit, ...]) -> _Blocked:
+    """Each transit's export rules, resolved to this origin's unit ids."""
+    blocked: _Blocked = {}
+    for asn, transit in transits.items():
+        per_neighbor: Dict[int, Set[int]] = defaultdict(set)
+        for unit in units:
+            if unit.tag is None:
+                continue
+            for neighbor in transit.rules.get(unit.tag, ()):
+                per_neighbor[neighbor].add(unit.unit_id)
+        if per_neighbor:
+            blocked[asn] = dict(per_neighbor)
+    return blocked
+
+
+#: (path, unit ids) groups of one AS's selected routes.
+_Groups = List[Tuple[Tuple[int, ...], Tuple[int, ...]]]
+
+
+def _groups_by_path(table: Dict[int, Route]) -> _Groups:
+    """One class's routes at an AS as (path, unit ids) groups, in table order."""
+    by_path: Dict[Tuple[int, ...], List[int]] = defaultdict(list)
+    for unit_id, route in table.items():
+        by_path[route.path].append(unit_id)
+    return [(path, tuple(group)) for path, group in by_path.items()]
+
+
+#: Offers of one BFS level sort by (receiver, sender).
+_by_receiver_then_sender = itemgetter(1, 0)
+
+#: Builds a :class:`Route` without the namedtuple's Python-level ``__new__``.
+_new_route = tuple.__new__
+
+#: Stands in for an AS's missing route table; never written to.
+_EMPTY: Dict[int, Route] = {}
 
 
 def propagate(
@@ -160,6 +208,9 @@ def propagate(
     Returns routes at ``targets`` (default: every AS that selected one;
     in that case no cone pruning is applied).  The origin itself never
     appears in the result.
+
+    Grouped messages carry tuples of unit ids; a transit's export rules
+    act on them as per-neighbour sets of blocked ids.
     """
     origin = policy.asn
     units = tuple(policy.units)
@@ -170,190 +221,209 @@ def propagate(
         effective_targets = frozenset(targets) if targets is not None else frozenset(graph.nodes)
         view = GraphView(graph, effective_targets)
     providers_of = view.providers
-    customers_of = view.customers
-    peers_of = view.peers
-    cone = view.cone
+    cone_customers = view.cone_customers
+    cone_peers = view.cone_peers
 
-    unit_by_id = {unit.unit_id: unit for unit in units}
-    transit_policies = _relevant_transits(transit_policies, units)
+    n_units = len(units)
+    blocked = _blocked_units(_relevant_transits(transit_policies, units), units)
+
+    def seed_groups(neighbor: int) -> Dict[int, List[int]]:
+        """Unit ids announced to ``neighbor``, grouped by prepend count."""
+        groups: Dict[int, List[int]] = defaultdict(list)
+        for unit in units:
+            if unit.announces_to(neighbor):
+                groups[unit.prepend_for(neighbor)].append(unit.unit_id)
+        return groups
 
     # ---- Phase C: customer routes ------------------------------------
     # Level-synchronous BFS up provider links; within a level, offers are
     # resolved per receiver by lowest sender ASN.
-    # levels[length] -> list of (sender, receiver, path, units)
-    levels: Dict[int, List[Tuple[int, int, Tuple[int, ...], Tuple[PolicyUnit, ...]]]] = defaultdict(list)
-
-    def seed_groups(neighbor: int) -> Dict[int, List[PolicyUnit]]:
-        """Units announced to ``neighbor``, grouped by prepend count."""
-        groups: Dict[int, List[PolicyUnit]] = defaultdict(list)
-        for unit in units:
-            if unit.announces_to(neighbor):
-                groups[unit.prepend_for(neighbor)].append(unit)
-        return groups
+    # levels[length] -> list of (sender, receiver, path, unit ids)
+    levels: Dict[int, List[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]] = {}
 
     for provider in providers_of.get(origin, ()):
         for prepend, group in seed_groups(provider).items():
             path = (origin,) * (1 + prepend)
-            levels[len(path)].append((origin, provider, path, tuple(group)))
+            levels.setdefault(len(path), []).append(
+                (origin, provider, path, tuple(group))
+            )
 
-    customer_routes: Dict[int, Dict[int, Route]] = defaultdict(dict)
-    length = min(levels) if levels else 0
-    max_level = (max(levels) if levels else 0) + len(graph.nodes) + 2
-    while levels and length <= max_level:
-        batch = levels.pop(length, None)
-        if batch is None:
-            length += 1
+    customer_routes: Dict[int, Dict[int, Route]] = {}
+    # The same routes as (path, unit ids) groups: each (receiver, path)
+    # is offered once, so every assignment is one group.
+    customer_groups: Dict[int, _Groups] = {}
+    while levels:
+        length = min(levels)
+        batch = levels.pop(length)
+        if not batch:
             continue
         # Resolve per receiver: lowest sender ASN wins ties at this level.
-        batch.sort(key=lambda offer: (offer[1], offer[0]))
+        batch.sort(key=_by_receiver_then_sender)
+        next_level = levels.setdefault(length + 1, [])
         for sender, receiver, path, group in batch:
-            table = customer_routes[receiver]
-            fresh = tuple(u for u in group if u.unit_id not in table)
-            if not fresh:
-                continue
-            route = Route(CLASS_CUSTOMER, length, path)
-            for unit in fresh:
-                table[unit.unit_id] = route
+            route = _new_route(Route, (CLASS_CUSTOMER, length, path))
+            table = customer_routes.get(receiver)
+            if table is None:
+                fresh = group
+                customer_routes[receiver] = dict.fromkeys(fresh, route)
+                customer_groups[receiver] = [(path, fresh)]
+            else:
+                fresh = tuple(u for u in group if u not in table)
+                if not fresh:
+                    continue
+                for unit_id in fresh:
+                    table[unit_id] = route
+                customer_groups[receiver].append((path, fresh))
             export_path = (receiver,) + path
-            receiver_policy = transit_policies.get(receiver)
-            has_rules = receiver_policy is not None and receiver_policy.rules
+            stops = blocked.get(receiver)
             for provider in providers_of.get(receiver, ()):
                 if provider == origin or provider in path:
                     continue
-                allowed = _filtered(receiver_policy, fresh, provider) if has_rules else fresh
-                if allowed:
-                    levels[length + 1].append(
-                        (receiver, provider, export_path, allowed)
-                    )
-        length += 1
+                above = customer_routes.get(provider)
+                if above is not None and len(above) == n_units:
+                    continue
+                allowed = fresh
+                if stops and provider in stops:
+                    stop = stops[provider]
+                    allowed = tuple(u for u in fresh if u not in stop)
+                    if not allowed:
+                        continue
+                next_level.append((receiver, provider, export_path, allowed))
 
     # ---- Phase P: peer routes ----------------------------------------
-    peer_routes: Dict[int, Dict[int, Route]] = defaultdict(dict)
-
-    def offer_peer(receiver: int, sender: int, path: Tuple[int, ...],
-                   group: Iterable[PolicyUnit]) -> None:
-        """Offer a peer route to ``receiver`` unless a customer route wins."""
-        table = peer_routes[receiver]
-        customer_table = customer_routes.get(receiver)
-        route = Route(CLASS_PEER, len(path), path)
-        for unit in group:
-            if customer_table and unit.unit_id in customer_table:
-                continue
-            current = table.get(unit.unit_id)
-            if current is None or (route.length, sender) < (
-                current.length,
-                current.path[0],
-            ):
-                table[unit.unit_id] = route
-
-    for peer in peers_of.get(origin, ()):
-        if peer not in cone and not customers_of.get(peer):
-            continue
+    # Offers in the order they are made: the origin's own, then those of
+    # every AS holding customer routes.  A peer route is only useful at a
+    # target or somewhere it can flow down toward one, so only peers
+    # inside the cone are offered one.
+    offers: List[Tuple[int, int, Route, Tuple[int, ...]]] = []
+    for peer in cone_peers.get(origin, ()):
         for prepend, group in seed_groups(peer).items():
             path = (origin,) * (1 + prepend)
-            offer_peer(peer, origin, path, group)
+            route = _new_route(Route, (CLASS_PEER, len(path), path))
+            offers.append((peer, origin, route, tuple(group)))
 
-    for asn, table in customer_routes.items():
-        asn_peers = peers_of.get(asn, ())
+    for asn, groups in customer_groups.items():
+        asn_peers = cone_peers.get(asn)
         if not asn_peers:
             continue
-        by_route: Dict[Route, List[PolicyUnit]] = defaultdict(list)
-        for unit_id, route in table.items():
-            by_route[route].append(unit_by_id[unit_id])
-        asn_policy = transit_policies.get(asn)
-        for route, group in by_route.items():
-            export_path = (asn,) + route.path
-            group_tuple = tuple(group)
+        stops = blocked.get(asn)
+        for path, group in groups:
+            export_path = (asn,) + path
+            route = _new_route(Route, (CLASS_PEER, len(export_path), export_path))
             for peer in asn_peers:
-                # A peer route is only useful at a target or somewhere it
-                # can flow down toward one.
-                if peer == origin or peer not in cone or peer in route.path:
+                if peer == origin or peer in path:
                     continue
-                allowed = _filtered(asn_policy, group_tuple, peer)
-                if allowed:
-                    offer_peer(peer, asn, export_path, allowed)
+                # A peer with customer routes for every unit takes none.
+                above = customer_routes.get(peer)
+                if above is not None and len(above) == n_units:
+                    continue
+                allowed = group
+                if stops and peer in stops:
+                    stop = stops[peer]
+                    allowed = tuple(u for u in group if u not in stop)
+                    if not allowed:
+                        continue
+                offers.append((peer, asn, route, allowed))
+
+    # A customer route beats any peer route; among peer routes the
+    # shorter wins, then the lower sender ASN.
+    peer_routes: Dict[int, Dict[int, Route]] = defaultdict(dict)
+    for receiver, sender, route, group in offers:
+        table = peer_routes[receiver]
+        customer_table = customer_routes.get(receiver, _EMPTY)
+        length = route[1]
+        for unit_id in group:
+            if unit_id in customer_table:
+                continue
+            current = table.get(unit_id)
+            if current is None or (length, sender) < (current[1], current[2][0]):
+                table[unit_id] = route
 
     # ---- Phase D: provider routes ------------------------------------
-    provider_routes: Dict[int, Dict[int, Route]] = defaultdict(dict)
-    levels = defaultdict(list)
+    # Every selected customer or peer route is exported down to the
+    # customers inside the cone.  ``selected[asn]`` holds every route
+    # ``asn`` has selected so far, in class order; an AS that holds one
+    # for every unit is offered nothing more.
+    selected: Dict[int, Dict[int, Route]] = {}
 
-    def seed_down(asn: int, table: Dict[int, Route]) -> None:
-        """Export ``asn``'s selected routes down to its customers."""
-        by_route: Dict[Route, List[PolicyUnit]] = defaultdict(list)
-        for unit_id, route in table.items():
-            by_route[route].append(unit_by_id[unit_id])
-        asn_policy = transit_policies.get(asn)
-        has_rules = asn_policy is not None and asn_policy.rules
-        for route, group in by_route.items():
-            export_path = (asn,) + route.path
-            group_tuple = tuple(group)
-            for customer in customers_of.get(asn, ()):
-                if customer == origin or customer not in cone or customer in route.path:
+    def selected_at(asn: int) -> Dict[int, Route]:
+        """``asn``'s selected routes, starting from its customer and peer routes."""
+        table = selected.get(asn)
+        if table is None:
+            table = selected[asn] = {
+                **customer_routes.get(asn, _EMPTY),
+                **peer_routes.get(asn, _EMPTY),
+            }
+        return table
+
+    def seed_down(asn: int, groups: _Groups) -> None:
+        """Offer ``asn``'s selected routes to its customers in the cone."""
+        stops = blocked.get(asn)
+        for path, group in groups:
+            export_path = (asn,) + path
+            level = levels.setdefault(len(export_path), [])
+            for customer in cone_customers[asn]:
+                if customer == origin or customer in path:
                     continue
-                allowed = _filtered(asn_policy, group_tuple, customer) if has_rules else group_tuple
-                if allowed:
-                    levels[route.length + 1].append(
-                        (asn, customer, export_path, allowed)
-                    )
+                if len(selected.get(customer) or selected_at(customer)) == n_units:
+                    continue
+                allowed = group
+                if stops and customer in stops:
+                    stop = stops[customer]
+                    allowed = tuple(u for u in group if u not in stop)
+                    if not allowed:
+                        continue
+                level.append((asn, customer, export_path, allowed))
 
-    for asn, table in customer_routes.items():
-        seed_down(asn, table)
+    for asn, groups in customer_groups.items():
+        if asn in cone_customers:
+            seed_down(asn, groups)
     for asn, table in peer_routes.items():
-        if table:
-            seed_down(asn, table)
+        if table and asn in cone_customers:
+            seed_down(asn, _groups_by_path(table))
 
-    length = min(levels) if levels else 0
-    max_level = (max(levels) if levels else 0) + len(graph.nodes) + 2
-    while levels and length <= max_level:
-        batch = levels.pop(length, None)
-        if batch is None:
-            length += 1
+    while levels:
+        length = min(levels)
+        batch = levels.pop(length)
+        if not batch:
             continue
-        batch.sort(key=lambda offer: (offer[1], offer[0]))
+        batch.sort(key=_by_receiver_then_sender)
+        next_level = levels.setdefault(length + 1, [])
         for sender, receiver, path, group in batch:
-            customer_table = customer_routes.get(receiver)
-            peer_table = peer_routes.get(receiver)
-            table = provider_routes[receiver]
-            fresh = tuple(
-                u
-                for u in group
-                if (not customer_table or u.unit_id not in customer_table)
-                and (not peer_table or u.unit_id not in peer_table)
-                and u.unit_id not in table
-            )
-            if not fresh:
-                continue
-            route = Route(CLASS_PROVIDER, length, path)
-            for unit in fresh:
-                table[unit.unit_id] = route
-            export_path = (receiver,) + path
-            receiver_policy = transit_policies.get(receiver)
-            has_rules = receiver_policy is not None and receiver_policy.rules
-            for customer in customers_of.get(receiver, ()):
-                if customer == origin or customer not in cone or customer in path:
+            table = selected[receiver]
+            if table:
+                fresh = tuple(u for u in group if u not in table)
+                if not fresh:
                     continue
-                allowed = _filtered(receiver_policy, fresh, customer) if has_rules else fresh
-                if allowed:
-                    levels[length + 1].append(
-                        (receiver, customer, export_path, allowed)
-                    )
-        length += 1
+            else:
+                fresh = group
+            route = _new_route(Route, (CLASS_PROVIDER, length, path))
+            for unit_id in fresh:
+                table[unit_id] = route
+            export_path = (receiver,) + path
+            stops = blocked.get(receiver)
+            for customer in cone_customers.get(receiver, ()):
+                if customer == origin or customer in path:
+                    continue
+                if len(selected.get(customer) or selected_at(customer)) == n_units:
+                    continue
+                allowed = fresh
+                if stops and customer in stops:
+                    stop = stops[customer]
+                    allowed = tuple(u for u in fresh if u not in stop)
+                    if not allowed:
+                        continue
+                next_level.append((receiver, customer, export_path, allowed))
 
     # ---- Combine ------------------------------------------------------
     result: PropagationResult = {}
     wanted = targets if targets is not None else (
-        set(customer_routes) | set(peer_routes) | set(provider_routes)
+        set(customer_routes) | set(peer_routes) | set(selected)
     )
     for asn in wanted:
         if asn == origin:
             continue
-        combined: Dict[int, Route] = {}
-        for source in (customer_routes, peer_routes, provider_routes):
-            table = source.get(asn)
-            if table:
-                for unit_id, route in table.items():
-                    if unit_id not in combined:
-                        combined[unit_id] = route
+        combined = selected.get(asn) or selected_at(asn)
         if combined:
             result[asn] = combined
     return result
@@ -374,6 +444,19 @@ class PropagationEngine:
         self._view: Optional[GraphView] = None
         self.hits = 0
         self.misses = 0
+
+    def __getstate__(self) -> dict:
+        # The view is derived from the graph and rebuilt on first use:
+        # world checkpoints leave it out, and drop one an older build
+        # pickled, which may lack fields propagation now reads.  The
+        # result cache travels, so restored hit counts do not move.
+        state = self.__dict__.copy()
+        state["_view"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._view = None
 
     def _view_for(self, targets: FrozenSet[int]) -> GraphView:
         view = self._view

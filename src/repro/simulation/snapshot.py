@@ -63,25 +63,45 @@ def _vp_tables(
 #: (peer ASN, route path, tag) — what an unmutated bundle depends on.
 _BundleKey = Tuple[int, Tuple[int, ...], Optional[Community]]
 
+#: (collector, peer ASN, peer address) — one collector session.
+_PeerId = Tuple[str, int, str]
+
+#: One peer's unmutated elements, keyed by ``id(prefix)``: an element
+#: keeps its prefix alive, so a live key is never another prefix's id.
+_ElementMap = Dict[int, RouteElement]
+
 
 class BundleMemo:
-    """``PathAttributes`` bundles shared across consecutive renders.
+    """Attribute bundles and RIB elements shared across consecutive renders.
 
     An unmutated bundle depends only on (peer ASN, route path, tag), so
     a world that renders again and again rebuilds only the bundles of
-    triples that changed.  Only the previous render's entries are kept:
-    the memo never outgrows two renders' distinct triples.
+    triples that changed.  Bundles of the previous render are kept as
+    a fallback, so the bundle maps never outgrow two renders' distinct
+    triples.
+
+    Each peer identity also keeps the unmutated elements it rendered
+    last time.  An element is reused when it carries the very prefix
+    and bundle objects the render would build it from, which makes it
+    indistinguishable from a new one.  A render replaces the map of
+    every peer it renders, and the maps of peers it no longer renders
+    are dropped by the render after it: at most one map per peer of
+    the last two renders.
     """
 
-    __slots__ = ("_previous", "_current")
+    __slots__ = ("_previous", "_current", "_previous_elements", "_elements")
 
     def __init__(self) -> None:
         self._previous: Dict[_BundleKey, PathAttributes] = {}
         self._current: Dict[_BundleKey, PathAttributes] = {}
+        self._previous_elements: Dict[_PeerId, _ElementMap] = {}
+        self._elements: Dict[_PeerId, _ElementMap] = {}
 
     def next_render(self) -> None:
-        """Start a render: the last render's bundles become the fallback."""
+        """Start a render: the last render's bundles and element maps
+        become the fallback."""
         self._previous, self._current = self._current, {}
+        self._previous_elements, self._elements = self._elements, {}
 
     def bundle(self, peer_asn: int, path: Tuple[int, ...],
                tag: Optional[Community]) -> PathAttributes:
@@ -97,6 +117,13 @@ class BundleMemo:
                 )
             self._current[key] = attributes
         return attributes
+
+    def elements(self, peer_id: _PeerId) -> Tuple[_ElementMap, _ElementMap]:
+        """One peer's elements of its last render, and the map this
+        render fills instead."""
+        current: _ElementMap = {}
+        self._elements[peer_id] = current
+        return self._previous_elements.pop(peer_id, {}), current
 
 
 class _AttributeFactory:
@@ -159,8 +186,9 @@ def render_rib_records(
 ) -> Iterator[RouteRecord]:
     """Yield the RIB dump of every collector peer at the current instant.
 
-    ``bundles`` carries attribute bundles over from the previous render
-    of the same world; without it every render builds its own.
+    ``bundles`` carries attribute bundles and unmutated elements over
+    from the previous render of the same world; without it every render
+    builds its own.
     """
     moment = world.current_time if when is None else when
     tables = _vp_tables(world, engine, family)
@@ -190,6 +218,8 @@ def render_rib_records(
         addpath_active = peer.artifact == "addpath" and peer.artifact_active(moment)
         factory = _AttributeFactory(peer, world, moment, bundles)
         mutates_paths = factory.mutates_paths
+        reused, kept = bundles.elements(peer.peer_id)
+        reuse = reused.get
 
         elements: List[RouteElement] = []
         append = elements.append
@@ -215,7 +245,11 @@ def render_rib_records(
             if shared is None:
                 element = factory.element(prefix, route, tag)
             else:
-                element = RouteElement(rib, prefix, shared)
+                key = id(prefix)
+                element = reuse(key)
+                if element is None or element.attributes is not shared:
+                    element = RouteElement(rib, prefix, shared)
+                kept[key] = element
             append(element)
             if duplicates_active and stable_fraction(prefix, 777) < 0.15:
                 append(element)

@@ -23,6 +23,7 @@ from repro.engine.jobs import (
     result_to_payload,
 )
 from repro.obs import Tracer, use_tracer
+from repro.simulation.routing import PropagationEngine
 from repro.simulation.scenario import SimulatedInternet
 from repro.util.dates import utc_timestamp
 
@@ -106,6 +107,34 @@ class TestWorldCheckpoint:
         assert [str(r) for r in clone.rib_records(when)] == [
             str(r) for r in internet.rib_records(when)
         ]
+
+    def test_restore_drops_an_old_shape_graph_view(self, tmp_path, monkeypatch):
+        """A checkpoint whose engine still carries a view without the
+        cone-restricted adjacency restores: the view is rebuilt on first
+        use, and the route cache survives."""
+        checkpoint = WorldCheckpoint(tmp_path)
+        internet = SimulatedInternet(ENGINE_WORLD, start="2004-01-01")
+        cadence = [START + 86400]
+        internet.advance_to(cadence[0])
+        expected = [str(r) for r in internet.rib_records(cadence[0])]
+        engine = internet.engine
+        del engine._view.cone_customers, engine._view.cone_peers
+        # What an older build wrote: the whole engine, view included.
+        monkeypatch.setattr(
+            PropagationEngine, "__getstate__", lambda self: self.__dict__.copy()
+        )
+        checkpoint.save(internet, cadence)
+        monkeypatch.undo()
+
+        clone, _ = checkpoint.restore(ENGINE_WORLD, START, cadence)
+        assert clone.engine._view is None
+        hits, misses = clone.engine.hits, clone.engine.misses
+        assert [str(r) for r in clone.rib_records(cadence[0])] == expected
+        assert clone.engine.misses == misses and clone.engine.hits > hits
+        # Same graph version and targets: the rebuilt view is the one used.
+        clone.engine._cache.clear()
+        assert [str(r) for r in clone.rib_records(cadence[0])] == expected
+        assert clone.engine.misses > misses
 
     def test_restore_prefers_longest_prefix(self, tmp_path):
         checkpoint = WorldCheckpoint(tmp_path)

@@ -1,5 +1,6 @@
 """Tests for snapshot rendering and artifact injection."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -147,6 +148,10 @@ class TestDeterminism:
 RENDER_INSTANTS = ("2021-01-15 08:00", "2021-01-15 16:00", "2021-04-15 08:00")
 
 
+#: The shared address space stuck-route phantoms are drawn from.
+STUCK_SPACE = Prefix.parse("100.64.0.0/10")
+
+
 def record_fields(record):
     """Every field of a record, elements included."""
     return record.__reduce__()[1]
@@ -161,7 +166,7 @@ class TestBundleMemo:
         for when in RENDER_INSTANTS:
             records = list(sim.rib_records(when))
             mutating = {
-                peer.asn
+                peer.peer_id
                 for peer in sim.world.layout.peers
                 if peer.artifact in ("private_asn", "addpath")
                 and peer.artifact_active(sim.current_time)
@@ -185,7 +190,7 @@ class TestBundleMemo:
         def bundles(records, mutating, as_set_origins):
             found = {}
             for record in records:
-                if record.peer_asn in mutating:
+                if record.peer_id in mutating:
                     continue
                 for element in record.elements:
                     attributes = element.attributes
@@ -208,12 +213,121 @@ class TestBundleMemo:
             previous = current
         assert shared
 
+    def test_unchanged_elements_are_reused(self, consecutive):
+        reused = changed = 0
+        previous = elements_by_key(consecutive[0][0])
+        for records, mutating, as_set_origins in consecutive[1:]:
+            current = elements_by_key(records)
+            for key, element in current.items():
+                before = previous.get(key)
+                if before is None or built_outside_memo(
+                    key[0], element, mutating, as_set_origins
+                ):
+                    continue
+                if element.attributes is before.attributes:
+                    # Unchanged (peer, prefix, bundle): the same object.
+                    assert element is before
+                    reused += 1
+                else:
+                    assert element is not before
+                    changed += 1
+            previous = current
+        assert reused and changed
+
+    def test_mutated_elements_never_come_from_the_memo(self, consecutive):
+        checked = 0
+        previous = elements_by_key(consecutive[0][0])
+        for records, mutating, as_set_origins in consecutive[1:]:
+            current = elements_by_key(records)
+            for key, element in current.items():
+                if built_outside_memo(key[0], element, mutating, as_set_origins):
+                    checked += 1
+                    assert element is not previous.get(key)
+            previous = current
+        assert checked
+
+    def test_peers_sharing_an_asn_keep_separate_maps(self):
+        sim = SimulatedInternet(TEST_WORLD, start=RENDER_INSTANTS[0])
+        layout = sim.world.layout
+        peer = next(p for p in layout.peers if p.full_feed and not p.artifact)
+        project, collector = next(
+            c for c in layout.collectors if c[1] != peer.collector
+        )
+        # The same AS peering with a second collector.
+        twin = dataclasses.replace(peer, project=project, collector=collector)
+        layout.peers.append(twin)
+        renders = []
+        for when in RENDER_INSTANTS[:2]:
+            renders.append(elements_by_key(list(sim.rib_records(when))))
+            maps = sim._bundles._elements
+            assert maps[peer.peer_id] and maps[twin.peer_id]
+            assert not {id(e) for e in maps[peer.peer_id].values()} & {
+                id(e) for e in maps[twin.peer_id].values()
+            }
+        # Each session reuses its own elements, never the other's.
+        before, after = renders
+        reused = 0
+        for (peer_id, prefix), element in after.items():
+            if peer_id in (peer.peer_id, twin.peer_id):
+                other = twin.peer_id if peer_id == peer.peer_id else peer.peer_id
+                assert element is not before.get((other, prefix))
+                reused += element is before.get((peer_id, prefix))
+        assert reused
+
+    def test_memo_stays_bounded_over_a_churning_world(self):
+        sim = SimulatedInternet(TEST_WORLD, start="2004-01-15 08:00")
+        memo = sim._bundles
+        layout = sim.world.layout
+        rendered_before = set()
+        dropped = None
+        for year in range(2004, 2025, 4):
+            if year == 2012:
+                # A session goes away: its map must not outlive it.
+                dropped = layout.peers.pop(0).peer_id
+            records = list(sim.rib_records(f"{year}-01-15 08:00"))
+            rendered = {record.peer_id for record in records}
+            # Maps exist only for peers of this render and the last.
+            assert set(memo._elements) <= {p.peer_id for p in layout.peers}
+            assert set(memo._previous_elements) <= rendered_before - set(
+                memo._elements
+            )
+            # At most one entry per element rendered now.
+            kept = sum(len(elements) for elements in memo._elements.values())
+            assert kept <= sum(len(record.elements) for record in records)
+            if dropped is not None:
+                assert dropped not in memo._elements
+            rendered_before = rendered
+        memo.next_render()
+        assert dropped not in memo._previous_elements
+
     def test_world_checkpoints_leave_the_memo_out(self):
         sim = SimulatedInternet(TEST_WORLD, start="2004-01-15 08:00")
         records = list(sim.rib_records("2004-01-15 08:00"))
+        assert sim._bundles._elements
         assert "_bundles" not in sim.__getstate__()
-        clone = pickle.loads(pickle.dumps(sim))
+        blob = pickle.dumps(sim)
+        assert b"RouteElement" not in blob
+        clone = pickle.loads(blob)
+        assert not clone._bundles._elements
         again = list(clone.rib_records("2004-01-15 08:00"))
         assert [record_fields(r) for r in again] == [
             record_fields(r) for r in records
         ]
+
+
+def elements_by_key(records):
+    """Every element of a render by (peer id, prefix); stuck-route
+    phantoms excluded."""
+    return {
+        (record.peer_id, element.prefix): element
+        for record in records
+        for element in record.elements
+        if not STUCK_SPACE.contains(element.prefix)
+    }
+
+
+def built_outside_memo(peer_id, element, mutating, as_set_origins):
+    """True if the renderer builds ``element`` without the memo: its
+    peer rewrites paths, or its origin is an AS_SET origin."""
+    path = element.attributes.as_path
+    return peer_id in mutating or path.has_set or path.origin in as_set_origins
