@@ -7,7 +7,7 @@ prefix births, a foreign peer and a withdraw-before-announce), then
 drives the ``repro live`` CLI through three phases:
 
 1. **reference** — an uninterrupted traced run; its ``live.*`` and
-   ``incremental.*`` (the shards' :class:`~repro.core.incremental.AtomIndex`)
+   ``incremental.*`` (the pipeline's :class:`~repro.core.incremental.AtomIndex`)
    counters are compared against the ``live-soak`` key of
    ``trace_expectations.json`` (counters only, never timings — the
    same policy as ``check_trace_counters.py``);
@@ -61,11 +61,6 @@ SCENARIO = "live-soak"
 
 #: Window width of the soak stream (seconds).
 WINDOW = 100
-
-#: Shard workers of every phase; counters are shard-invariant for the
-#: ``live.*`` family, but ``incremental.rebuilds`` counts one initial
-#: build per shard, so the fixture pins it.
-SHARDS = 2
 
 #: Counter families the gate compares exactly.
 GATED_PREFIXES = ("live.", "incremental.")
@@ -189,7 +184,6 @@ def run_live(archive_dir: Path, extra: List[str],
         "live",
         "--archive", str(archive_dir),
         "--window", str(WINDOW),
-        "--shards", str(SHARDS),
         "--json",
     ] + extra
     if trace is not None:

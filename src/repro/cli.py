@@ -15,7 +15,7 @@ Four subcommands mirror the measurement workflow:
 * ``repro serve``    — long-running HTTP/JSON atom query service over
   an on-disk store (see ``docs/serving.md``);
 * ``repro live``     — streaming atom maintenance over an archived
-  update feed: sharded incremental workers, windowed churn metrics,
+  update feed: one incremental atom index, windowed churn metrics,
   checkpoint/resume and an optional growing-store sink (see
   ``docs/streaming.md``);
 * ``repro converge`` — run the discrete-event convergence engine over a
@@ -419,8 +419,6 @@ def cmd_live(args: argparse.Namespace) -> int:
         family = AF_INET if args.family == 4 else AF_INET6
     config = LiveConfig(
         window_seconds=args.window,
-        shards=args.shards,
-        queue_depth=args.queue_depth,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         store_dir=args.store_dir,
@@ -678,12 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "update feed (see `repro simulate`)")
     live.add_argument("--window", type=_positive_int, default=900,
                       help="window width in seconds (default: 900)")
-    live.add_argument("--shards", type=_positive_int, default=1,
-                      help="shard worker threads (default: 1)")
-    live.add_argument("--queue-depth", type=_positive_int, default=256,
-                      dest="queue_depth",
-                      help="bounded per-shard queue depth; the coordinator "
-                           "blocks (backpressure) when a shard falls behind")
     live.add_argument("--checkpoint-dir", type=Path, default=None,
                       dest="checkpoint_dir",
                       help="save window-boundary checkpoints here; a killed "

@@ -25,7 +25,8 @@ value-identical to a from-scratch ``compute_atoms`` over the same
 snapshot and vantage points — including atom ids, because groups are
 emitted in first-prefix order, exactly the order the batch enumeration
 discovers them in.  The live pipeline (:mod:`repro.stream.live`) keeps
-one index per shard and consumes :meth:`AtomIndex.refresh_delta`.
+one index over its RIB and refreshes it with
+:meth:`AtomIndex.refresh_delta` at every window boundary.
 """
 
 from __future__ import annotations
@@ -204,9 +205,8 @@ class AtomIndex:
         actually moved: the new key, or None when the prefix lost its
         last visible path.  Prefixes whose recomputed key is pointer-
         identical to the old one are omitted — exactly the work
-        :meth:`_apply_key` skipped.  Consumers that mirror this index's
-        groups elsewhere (the live pipeline's cross-shard merge) replay
-        the delta instead of re-reading every key.
+        :meth:`_apply_key` skipped.  The live pipeline reports the
+        delta's size as the window's key changes.
         """
         delta: Dict[Prefix, Optional[Tuple]] = {}
         self._refresh(collect=delta)

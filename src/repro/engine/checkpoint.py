@@ -119,8 +119,8 @@ class StreamCheckpoint:
     window in flight.  :meth:`load` returns None when no checkpoint
     exists and raises :class:`StreamCheckpointError` when the saved
     ``config`` digest disagrees with the resuming pipeline's (resuming
-    under a different window size or shard count would silently change
-    results).
+    under a different window size or address family would silently
+    change results).
     """
 
     def __init__(self, directory: os.PathLike):
@@ -216,7 +216,7 @@ class StreamCheckpoint:
         """The saved ``(state, boundary records)``, or None when absent.
 
         When ``config`` is given it must equal the saved one — a
-        resumed pipeline must window and shard exactly like the run
+        resumed pipeline must window and filter exactly like the run
         that wrote the checkpoint.
         """
         state_path = self._state_path()

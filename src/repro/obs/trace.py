@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import IO, Dict, Iterable, Iterator, List, Optional, Union
@@ -241,24 +240,9 @@ TracerLike = Union[Tracer, NullTracer]
 
 _current: TracerLike = NULL_TRACER
 
-#: Per-thread tracer overrides.  A worker thread that must not write to
-#: the (single-threaded) global tracer installs its own here — either a
-#: private recording tracer whose counters are merged back at a barrier,
-#: or the NullTracer to silence instrumentation entirely.  The main
-#: thread normally never sets one, so ``get_tracer`` stays one
-#: attribute lookup for untraced code.
-_thread_local = threading.local()
-
 
 def get_tracer() -> TracerLike:
-    """The tracer instrumented code should report to.
-
-    A thread-local tracer (see :func:`set_thread_tracer`) wins over the
-    process-wide one; with neither installed this is the NullTracer.
-    """
-    override: Optional[TracerLike] = getattr(_thread_local, "tracer", None)
-    if override is not None:
-        return override
+    """The tracer instrumented code should report to (default: NullTracer)."""
     return _current
 
 
@@ -267,19 +251,6 @@ def set_tracer(tracer: TracerLike) -> TracerLike:
     global _current
     previous = _current
     _current = tracer
-    return previous
-
-
-def set_thread_tracer(tracer: Optional[TracerLike]) -> Optional[TracerLike]:
-    """Install ``tracer`` for the calling thread only (None removes it).
-
-    Returns the thread's previous override (None when there was none).
-    Worker threads use this so concurrent ``count()`` calls cannot race
-    the shared tracer's read-modify-write counter updates; the owner
-    merges the private counters back deterministically at a barrier.
-    """
-    previous: Optional[TracerLike] = getattr(_thread_local, "tracer", None)
-    _thread_local.tracer = tracer
     return previous
 
 

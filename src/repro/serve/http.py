@@ -39,6 +39,9 @@ MAX_LINE = 8192
 #: Largest request body accepted (the API is GET-only; bodies are drained).
 MAX_BODY = 65536
 
+#: Seconds a rejected connection keeps discarding input before closing.
+LINGER_SECONDS = 2.0
+
 SERVER_NAME = "repro-serve"
 
 _STATUS_TEXT = {
@@ -47,6 +50,8 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
 
@@ -165,7 +170,11 @@ class AtomServer:
             tracer.count("serve.connections")
         try:
             while not self._closing:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except QueryError as error:  # unframeable: answer, close
+                    await self._reject(reader, writer, error)
+                    break
                 if request is None:
                     break
                 self._busy.add(writer)
@@ -189,21 +198,40 @@ class AtomServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
+    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
+        """One request or header line; 431 when it exceeds ``MAX_LINE``."""
+        try:
+            line = await reader.readline()
+            if len(line) <= MAX_LINE:
+                return line
+        except ValueError:  # longer than the stream's buffer limit
+            pass
+        raise QueryError(f"line longer than {MAX_LINE} bytes", status=431)
+
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[_Request]:
-        """Parse one request; None on EOF / malformed framing."""
-        line = await reader.readline()
-        if not line or len(line) > MAX_LINE:
+        """Parse one request; None on EOF or on input that is not HTTP.
+
+        Framing that is HTTP but unacceptable raises :class:`QueryError`
+        with its status: a request line that ends in an HTTP version but
+        is not ``METHOD TARGET VERSION`` (400), an oversized line (431),
+        a negative or non-numeric ``Content-Length`` (400), or a body
+        over ``MAX_BODY`` (413).
+        """
+        line = await self._read_line(reader)
+        if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
+            if parts and parts[-1].startswith("HTTP/"):
+                raise QueryError("malformed request line")
             return None
         method, target, _version = parts
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
-            if not raw or len(raw) > MAX_LINE:
+            raw = await self._read_line(reader)
+            if not raw:
                 return None
             if raw in (b"\r\n", b"\n"):
                 break
@@ -211,13 +239,48 @@ class AtomServer:
             headers[name.strip().lower()] = value.strip()
         length = headers.get("content-length")
         if length is not None:
-            try:
-                pending = min(int(length), MAX_BODY)
-            except ValueError:
-                return None
-            if pending:
-                await reader.readexactly(pending)
+            if not (length.isascii() and length.isdigit()):
+                raise QueryError(f"invalid Content-Length {length!r}")
+            size = int(length)
+            if size > MAX_BODY:
+                raise QueryError(f"body larger than {MAX_BODY} bytes", status=413)
+            if size:
+                await reader.readexactly(size)
         return _Request(method, target, headers)
+
+    async def _reject(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        error: QueryError,
+    ) -> None:
+        """Answer a framing error, then close without resetting the peer.
+
+        Closing a socket with unread input makes the kernel reset the
+        connection, which can destroy the answer before the client reads
+        it.  So the write side is shut first, and input is discarded
+        until the client hangs up or ``LINGER_SECONDS`` pass.
+        """
+        headers = [
+            ("Server", SERVER_NAME),
+            ("Content-Type", "application/json"),
+            ("X-Store-Version", self.service.version),
+        ]
+        body = encode_body({"error": str(error)})
+        writer.write(self._frame(error.status, headers, body, keep_alive=False))
+        await writer.drain()
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.count("serve.errors")
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + LINGER_SECONDS
+        try:
+            while await asyncio.wait_for(reader.read(65536), deadline - loop.time()):
+                pass
+        except asyncio.TimeoutError:
+            pass
 
     # ------------------------------------------------------------------
     # Routing + rendering

@@ -132,7 +132,7 @@ def _parse_entry(raw: Dict[str, Any]) -> StoreSnapshot:
             report=raw.get("report"),
             shards=shards,
         )
-    except (KeyError, TypeError, ValueError) as error:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as error:
         raise StoreError(f"malformed manifest snapshot entry: {error}") from None
 
 
@@ -158,8 +158,12 @@ class AtomStore:
                 raise StoreError(
                     f"no atom store at {self.root} ({MANIFEST_NAME} missing)"
                 ) from None
-            except (OSError, json.JSONDecodeError) as error:
+            except (OSError, UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise StoreError(f"unreadable manifest: {error}") from None
+            if not isinstance(raw, dict):
+                raise StoreError(
+                    f"manifest is a JSON {type(raw).__name__}, not an object"
+                )
             if raw.get("format") != FORMAT_NAME:
                 raise StoreError(
                     f"not an atom store manifest (format={raw.get('format')!r})"
@@ -178,9 +182,22 @@ class AtomStore:
                 raise StoreError(
                     f"store id width {raw.get('key_width')!r} != {KEY_WIDTH}"
                 )
-            self.pool_options: Dict[str, Any] = dict(raw.get("pool", {}))
-            self._segments: Dict[str, Dict[str, Any]] = raw.get("segments", {})
-            entries = [_parse_entry(item) for item in raw.get("snapshots", [])]
+            pool = raw.get("pool", {})
+            segments = raw.get("segments", {})
+            snapshots = raw.get("snapshots", [])
+            if not (
+                isinstance(pool, dict)
+                and isinstance(segments, dict)
+                and all(isinstance(meta, dict) for meta in segments.values())
+                and isinstance(snapshots, list)
+            ):
+                raise StoreError(
+                    "malformed manifest: pool and segments must be objects, "
+                    "snapshots a list"
+                )
+            self.pool_options: Dict[str, Any] = dict(pool)
+            self._segments: Dict[str, Dict[str, Any]] = segments
+            entries = [_parse_entry(item) for item in snapshots]
             self._entries = entries
             self._by_key = {entry.key: entry for entry in entries}
             if len(self._by_key) != len(entries):

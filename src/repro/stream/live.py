@@ -3,54 +3,34 @@
 The offline pipeline recomputes atoms per snapshot; this module keeps
 the partition *continuously* current against a BGPStream-shaped update
 feed, the way an operational deployment of the paper's measurement
-would run.  One coordinator thread consumes the record stream and fans
-route elements out to **shard workers** over bounded queues:
-
-* the prefix space is cut into contiguous ranges
-  (:class:`PrefixSharder`, the same first/last-prefix routing the
-  columnar store's shards use), one range per worker;
-* each worker owns a shard-local :class:`~repro.bgp.rib.RIBSnapshot`
-  plus its own :class:`~repro.core.incremental.AtomIndex` over the
-  *global* vantage-point list, so every worker's interned keys are
-  directly comparable — all workers share one thread-safe intern pool;
-* bounded queues give natural backpressure: when a worker falls
-  behind, the coordinator blocks on ``put`` instead of buffering the
-  stream unboundedly (blocks are counted per window).
+would run.  :class:`LivePipeline` owns one
+:class:`~repro.bgp.rib.RIBSnapshot` and one
+:class:`~repro.core.incremental.AtomIndex` over it, and applies each
+record's route elements directly in the calling thread.
 
 Time is cut into fixed, absolutely aligned windows (window ``k`` is
-``[k*w, (k+1)*w)``).  At each boundary the coordinator barriers the
-workers, collects each shard's **refresh delta** — only the prefixes
-whose interned key moved — and replays the deltas into a merged
-cross-shard view, so per-window merge work is proportional to churn,
-not to table size.  The merged view emits an
-:class:`~repro.core.atoms.AtomSet` that is value-identical — atom ids
-and ordering included — to a cold
-:func:`~repro.core.atoms.compute_atoms` over the equivalent replayed
-RIB; ``parity="window"`` proves exactly that at every boundary against
-an independently replayed snapshot and a fresh intern pool.
+``[k*w, (k+1)*w)``).  At each boundary the index recomputes keys only
+for the prefixes the window dirtied (:meth:`AtomIndex.refresh_delta`),
+so per-window work is proportional to churn, not to table size, and
+emits an :class:`~repro.core.atoms.AtomSet` that is value-identical —
+atom ids and ordering included — to a cold
+:func:`~repro.core.atoms.compute_atoms` over the same RIB;
+``parity="window"`` proves exactly that at every boundary against a
+copy of the route tables and a fresh intern pool.
 
 Crash safety comes from
 :class:`~repro.engine.checkpoint.StreamCheckpoint`: every
-``checkpoint_every`` boundaries the coordinator dumps the merged RIB
-and the replay position atomically.  A killed pipeline resumes from
-the last saved boundary by *position* (records consumed), not by
-timestamp — out-of-order records across dump boundaries make
-timestamp-based skipping diverge from an uninterrupted run, position
-never does.
-
-Worker threads never touch the process-wide tracer: each records onto
-a private tracer (:func:`repro.obs.set_thread_tracer`) whose counters
-the coordinator merges back in shard order at each barrier, so traced
-runs stay deterministic and race-free.  See ``docs/streaming.md``.
+``checkpoint_every`` boundaries the pipeline dumps the RIB and the
+replay position atomically.  A killed pipeline resumes from the last
+saved boundary by *position* (records consumed), not by timestamp —
+out-of-order records across dump boundaries make timestamp-based
+skipping diverge from an uninterrupted run, position never does.
+See ``docs/streaming.md``.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-import traceback
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -62,20 +42,16 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
-    Tuple,
 )
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.bgp.rib import AdjRIBIn, PeerId, RIBSnapshot
-from repro.core.atoms import AtomSet, PolicyAtom, compute_atoms
+from repro.core.atoms import AtomSet, compute_atoms
 from repro.core.incremental import AtomIndex
-from repro.core.intern import PathInternPool
 from repro.engine.checkpoint import StreamCheckpoint
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.obs import NULL_TRACER, Tracer, TracerLike, get_tracer, set_thread_tracer
+from repro.obs import TracerLike, get_tracer
 from repro.store.writer import MANIFEST_NAME, PARTS_DIR, merge_parts, write_part
 from repro.stream.windows import (
     WindowResult,
@@ -89,8 +65,6 @@ __all__ = [
     "LiveParityError",
     "LivePipeline",
     "LiveRun",
-    "PrefixSharder",
-    "ThreadSafeInternPool",
 ]
 
 
@@ -102,81 +76,12 @@ class LiveParityError(LiveError):
     """The streamed atom partition diverged from the cold recompute."""
 
 
-class ThreadSafeInternPool(PathInternPool):
-    """A :class:`PathInternPool` whose mutating lookups are locked.
-
-    Shard workers intern concurrently into one shared pool so their
-    vector keys stay pointer-comparable across shards; a single RLock
-    around the four lookup methods keeps the internal dicts consistent
-    without changing any result.
-    """
-
-    __slots__ = ("_lock",)
-
-    def __init__(
-        self,
-        expand_singleton_sets: bool = True,
-        strip_prepending: bool = False,
-    ):
-        super().__init__(expand_singleton_sets, strip_prepending)
-        self._lock = threading.RLock()
-
-    def path(self, raw: Optional[ASPath]) -> Optional[ASPath]:
-        """Locked :meth:`PathInternPool.path`."""
-        with self._lock:
-            return super().path(raw)
-
-    def vector(self, parts: Sequence[Optional[ASPath]]) -> Tuple:
-        """Locked :meth:`PathInternPool.vector`."""
-        with self._lock:
-            return super().vector(parts)
-
-    def path_id(self, raw: Optional[ASPath]) -> int:
-        """Locked :meth:`PathInternPool.path_id`."""
-        with self._lock:
-            return super().path_id(raw)
-
-    def id_for_path(self, path: Optional[ASPath]) -> int:
-        """Locked :meth:`PathInternPool.id_for_path`."""
-        with self._lock:
-            return super().id_for_path(path)
-
-
-class PrefixSharder:
-    """Routes prefixes to contiguous shard ranges of the sorted space.
-
-    The primed universe is sorted by :meth:`Prefix.key` and cut into
-    ``shards`` near-equal ranges; prefixes first seen later (new
-    announcements) fall into the nearest existing range, so routing is
-    total and deterministic for any prefix.
-    """
-
-    __slots__ = ("shards", "_cuts")
-
-    def __init__(self, prefixes: Iterable[Prefix], shards: int):
-        self.shards = max(1, int(shards))
-        ordered = sorted(set(prefixes), key=Prefix.key)
-        count = min(self.shards, len(ordered))
-        self._cuts: List[Tuple] = [
-            Prefix.key(ordered[(index * len(ordered)) // count])
-            for index in range(1, count)
-        ]
-
-    def route(self, prefix: Prefix) -> int:
-        """The shard id owning ``prefix`` (0 .. shards-1)."""
-        return bisect_right(self._cuts, Prefix.key(prefix))
-
-
 @dataclass
 class LiveConfig:
     """Tuning knobs of one :class:`LivePipeline` run."""
 
     #: window width in seconds; windows are absolutely aligned
     window_seconds: int = 900
-    #: shard worker threads (prefix-range partitions)
-    shards: int = 1
-    #: bounded per-worker inbox depth (backpressure threshold)
-    queue_depth: int = 256
     #: checkpoint directory (None disables checkpointing)
     checkpoint_dir: Optional[Path] = None
     #: save a checkpoint every N closed windows (and at end of stream)
@@ -200,10 +105,6 @@ class LiveConfig:
     def __post_init__(self) -> None:
         if self.window_seconds < 1:
             raise ValueError("window_seconds must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.parity not in ("off", "window"):
@@ -214,12 +115,7 @@ class LiveConfig:
             self.store_dir = Path(self.store_dir)
 
     def payload(self) -> Dict[str, Any]:
-        """The result-affecting knobs a resumed run must repeat.
-
-        Shard count and queue depth are deliberately absent: results
-        are shard-invariant, so a checkpoint written under 4 shards
-        resumes fine under 1 (and vice versa).
-        """
+        """The result-affecting knobs a resumed run must repeat."""
         return {
             "window_seconds": self.window_seconds,
             "family": self.family,
@@ -269,174 +165,8 @@ class LiveRun:
         }
 
 
-# ----------------------------------------------------------------------
-# Cross-shard merged view
-# ----------------------------------------------------------------------
-
-
-class _MergedAtomView:
-    """Cross-shard key/group state, maintained from refresh deltas.
-
-    Workers own disjoint prefix ranges, so replaying their deltas in
-    any order yields the same state; the coordinator still applies
-    them in shard order for reproducible traces.  Groups are emitted
-    exactly like :meth:`AtomIndex.atoms` — sorted by first prefix — so
-    the streamed :class:`AtomSet` carries the same atom ids a cold
-    ``compute_atoms`` would assign.
-    """
-
-    __slots__ = ("_keys", "_groups")
-
-    def __init__(self) -> None:
-        self._keys: Dict[Prefix, Tuple] = {}
-        self._groups: Dict[Tuple, Set[Prefix]] = {}
-
-    def apply_delta(self, delta: Dict[Prefix, Optional[Tuple]]) -> None:
-        keys = self._keys
-        groups = self._groups
-        for prefix, key in delta.items():
-            old = keys.get(prefix)
-            if old is key:
-                continue
-            if old is not None:
-                members = groups[old]
-                members.discard(prefix)
-                if not members:
-                    del groups[old]
-            if key is None:
-                keys.pop(prefix, None)
-            else:
-                keys[prefix] = key
-                groups.setdefault(key, set()).add(prefix)
-
-    @property
-    def prefix_count(self) -> int:
-        return len(self._keys)
-
-    @property
-    def group_count(self) -> int:
-        return len(self._groups)
-
-    def atom_set(self, vantage_points: List[PeerId], timestamp: int) -> AtomSet:
-        ordered = sorted(
-            self._groups.items(),
-            key=lambda item: Prefix.key(min(item[1], key=Prefix.key)),
-        )
-        atoms = [
-            PolicyAtom(atom_id, frozenset(members), vector)
-            for atom_id, (vector, members) in enumerate(ordered)
-        ]
-        return AtomSet(atoms, list(vantage_points), timestamp)
-
-
-# ----------------------------------------------------------------------
-# Shard workers
-# ----------------------------------------------------------------------
-
-
-class _ShardWorker(threading.Thread):
-    """One prefix-range worker: shard-local RIB + AtomIndex.
-
-    Consumes ``("apply", peer, elements)`` messages from its bounded
-    inbox and answers coordinator barriers: ``("refresh",)`` replies
-    with the shard's refresh delta, ``("dump",)`` with copies of its
-    per-peer route tables, ``("stop",)`` acknowledges and exits.  All
-    instrumentation lands on a private tracer whose counter increments
-    are shipped home with each reply.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        vantage_points: Sequence[PeerId],
-        pool: PathInternPool,
-        config: LiveConfig,
-        outbox: "queue.Queue[Tuple]",
-        traced: bool,
-    ):
-        super().__init__(name=f"live-shard-{shard_id}", daemon=True)
-        self.shard_id = shard_id
-        self.inbox: "queue.Queue[Tuple]" = queue.Queue(config.queue_depth)
-        self._outbox = outbox
-        self._tracer: TracerLike = Tracer() if traced else NULL_TRACER
-        self._shipped: Dict[str, int] = {}
-        self.snapshot = RIBSnapshot()
-        self.index = AtomIndex(
-            self.snapshot,
-            vantage_points=list(vantage_points),
-            expand_singleton_sets=config.expand_singleton_sets,
-            strip_prepending=config.strip_prepending,
-            pool=pool,
-        )
-
-    def _counter_delta(self) -> Dict[str, int]:
-        if not self._tracer.enabled:
-            return {}
-        current = self._tracer.counters
-        delta = {
-            name: value - self._shipped.get(name, 0)
-            for name, value in current.items()
-            if value != self._shipped.get(name, 0)
-        }
-        self._shipped = dict(current)
-        return delta
-
-    def _apply(self, peer_id: PeerId, elements: Tuple[RouteElement, ...]) -> None:
-        snapshot = self.snapshot
-        for element in elements:
-            if element.element_type == ElementType.WITHDRAWAL:
-                snapshot.withdraw(peer_id, element.prefix)
-            else:
-                snapshot.announce(peer_id, element.prefix, element.attributes)
-
-    def run(self) -> None:  # pragma: no branch - single loop
-        set_thread_tracer(self._tracer)
-        try:
-            while True:
-                message = self.inbox.get()
-                kind = message[0]
-                if kind == "apply":
-                    self._apply(message[1], message[2])
-                elif kind == "refresh":
-                    dirty = self.index.dirty_count
-                    delta = self.index.refresh_delta()
-                    self._outbox.put(
-                        (
-                            "refresh",
-                            self.shard_id,
-                            dirty,
-                            delta,
-                            self._counter_delta(),
-                        )
-                    )
-                elif kind == "dump":
-                    tables = {
-                        peer_id: dict(table._routes)
-                        for peer_id, table in self.snapshot._tables.items()
-                    }
-                    self._outbox.put(("dump", self.shard_id, tables))
-                elif kind == "stop":
-                    self._outbox.put(("stop", self.shard_id, self._counter_delta()))
-                    return
-                else:  # pragma: no cover - coordinator never sends others
-                    raise LiveError(f"unknown worker message {kind!r}")
-        except BaseException:
-            self._outbox.put(("error", self.shard_id, traceback.format_exc()))
-        finally:
-            set_thread_tracer(None)
-
-
-# ----------------------------------------------------------------------
-# The pipeline
-# ----------------------------------------------------------------------
-
-#: Seconds the coordinator waits on a worker reply before declaring the
-#: pipeline wedged (generous: barriers are CPU-bound, not I/O-bound).
-_BARRIER_TIMEOUT = 300.0
-
-
 class LivePipeline:
-    """Coordinator of the streaming atom-maintenance pipeline.
+    """The streaming atom-maintenance pipeline.
 
     ``records`` is any iterable of :class:`RouteRecord` in arrival
     order — a :class:`~repro.stream.bgpstream.BGPStream`, an archive
@@ -456,150 +186,38 @@ class LivePipeline:
         self._explicit_vps = (
             [tuple(vp) for vp in vantage_points] if vantage_points else None
         )
-        self._workers: List[_ShardWorker] = []
-        self._outbox: "queue.Queue[Tuple]" = queue.Queue()
         self._vps: List[PeerId] = []
         self._projects: Dict[PeerId, str] = {}
-        self._sharder: Optional[PrefixSharder] = None
-        self._view = _MergedAtomView()
         self._consumed = 0
-        self._backpressure = 0
-        self._pool_instance: Optional[ThreadSafeInternPool] = None
 
-    # -- worker plumbing ------------------------------------------------
-
-    def _send(self, shard_id: int, message: Tuple) -> None:
-        inbox = self._workers[shard_id].inbox
-        try:
-            inbox.put_nowait(message)
-        except queue.Full:
-            self._backpressure += 1
-            while True:
-                if not self._workers[shard_id].is_alive():
-                    self._raise_pending_error()
-                try:
-                    inbox.put(message, timeout=1.0)
-                    return
-                except queue.Full:
-                    continue
-
-    def _raise_pending_error(self) -> None:
-        """Surface a worker's death as a LiveError."""
-        while True:
-            try:
-                reply = self._outbox.get_nowait()
-            except queue.Empty:
-                raise LiveError("shard worker died without reporting an error")
-            if reply[0] == "error":
-                raise LiveError(f"shard {reply[1]} failed:\n{reply[2]}")
-
-    def _gather(self, kind: str) -> List[Tuple]:
-        """One reply of ``kind`` per worker, ordered by shard id."""
-        replies: Dict[int, Tuple] = {}
-        while len(replies) < len(self._workers):
-            try:
-                reply = self._outbox.get(timeout=_BARRIER_TIMEOUT)
-            except queue.Empty:
-                raise LiveError(
-                    f"timed out waiting for shard {kind!r} replies "
-                    f"({len(replies)}/{len(self._workers)} received)"
-                ) from None
-            if reply[0] == "error":
-                raise LiveError(f"shard {reply[1]} failed:\n{reply[2]}")
-            if reply[0] != kind:  # pragma: no cover - protocol guard
-                raise LiveError(
-                    f"unexpected {reply[0]!r} reply during {kind!r} barrier"
-                )
-            replies[reply[1]] = reply
-        return [replies[shard] for shard in sorted(replies)]
-
-    def _merge_counters(
-        self, tracer: TracerLike, deltas: Iterable[Dict[str, int]]
-    ) -> None:
-        if not tracer.enabled:
-            return
-        for delta in deltas:
-            for name in sorted(delta):
-                tracer.count(name, delta[name])
-
-    def _stop_workers(self, tracer: TracerLike) -> None:
-        alive = [worker for worker in self._workers if worker.is_alive()]
-        for worker in alive:
-            try:
-                worker.inbox.put(("stop",), timeout=5.0)
-            except queue.Full:  # pragma: no cover - wedged worker
-                continue
-        deadline = time.monotonic() + 30.0
-        acknowledged: List[Dict[str, int]] = []
-        pending = len(alive)
-        while pending and time.monotonic() < deadline:
-            try:
-                reply = self._outbox.get(timeout=1.0)
-            except queue.Empty:
-                continue
-            if reply[0] == "stop":
-                acknowledged.append(reply[2])
-                pending -= 1
-            # late window/dump/error replies on the error path: discard
-        self._merge_counters(tracer, acknowledged)
-        for worker in self._workers:
-            worker.join(timeout=5.0)
-        self._workers = []
-
-    # -- routing --------------------------------------------------------
-
-    def _route_elements(
-        self, elements: Sequence[RouteElement]
-    ) -> Dict[int, List[RouteElement]]:
-        assert self._sharder is not None
-        routed: Dict[int, List[RouteElement]] = {}
+    def _apply(self, snapshot: RIBSnapshot, record: RouteRecord) -> int:
+        """Apply one record's elements (of the chosen family) to the RIB."""
         family = self.config.family
-        route = self._sharder.route
-        for element in elements:
+        peer_id = record.peer_id
+        applied = 0
+        for element in record.elements:
             if family is not None and element.prefix.family != family:
                 continue
-            routed.setdefault(route(element.prefix), []).append(element)
-        return routed
+            if element.element_type == ElementType.WITHDRAWAL:
+                snapshot.withdraw(peer_id, element.prefix)
+            else:
+                snapshot.announce(peer_id, element.prefix, element.attributes)
+            applied += 1
+        return applied
 
-    def _dispatch(self, record: RouteRecord) -> int:
-        """Fan one record's elements out to the owning shards."""
-        routed = self._route_elements(record.elements)
-        peer_id = record.peer_id
-        for shard_id in sorted(routed):
-            self._send(shard_id, ("apply", peer_id, tuple(routed[shard_id])))
-        return sum(len(batch) for batch in routed.values())
-
-    # -- barriers -------------------------------------------------------
-
-    def _refresh_barrier(self, tracer: TracerLike) -> Tuple[int, int]:
-        """Refresh all shards; returns (dirty total, key changes)."""
-        for shard_id in range(len(self._workers)):
-            self._send(shard_id, ("refresh",))
-        replies = self._gather("refresh")
-        self._merge_counters(tracer, (reply[4] for reply in replies))
-        dirty = 0
-        changed = 0
-        for reply in replies:
-            dirty += reply[2]
-            changed += len(reply[3])
-            self._view.apply_delta(reply[3])
-        return dirty, changed
-
-    def _dump_barrier(self) -> Dict[PeerId, Dict[Prefix, PathAttributes]]:
-        """Merged per-peer route tables across all shards.
+    def _copy_tables(
+        self, snapshot: RIBSnapshot
+    ) -> Dict[PeerId, Dict[Prefix, PathAttributes]]:
+        """Per-vantage-point copies of the route tables.
 
         Every vantage point appears (empty when it carries no routes),
         so checkpoints preserve VP identity even for dried-up feeds.
         """
-        for shard_id in range(len(self._workers)):
-            self._send(shard_id, ("dump",))
-        merged: Dict[PeerId, Dict[Prefix, PathAttributes]] = {
-            vp: {} for vp in self._vps
-        }
-        for reply in self._gather("dump"):
-            for peer_id, routes in reply[2].items():
-                merged.setdefault(peer_id, {}).update(routes)
-        return merged
+        tables: Dict[PeerId, Dict[Prefix, PathAttributes]] = {}
+        for vp in self._vps:
+            table = snapshot.table(vp)
+            tables[vp] = {} if table is None else dict(table._routes)
+        return tables
 
     # -- parity ---------------------------------------------------------
 
@@ -608,10 +226,12 @@ class LivePipeline:
         tables: Dict[PeerId, Dict[Prefix, PathAttributes]],
         timestamp: int,
     ) -> RIBSnapshot:
+        # Wraps the boundary's table copies as they are: compute_atoms
+        # only reads them, and the checkpoint reads the same copies.
         snapshot = RIBSnapshot(timestamp)
         for peer_id, routes in tables.items():
             table = AdjRIBIn(peer_id)
-            table._routes = dict(routes)
+            table._routes = routes
             snapshot._tables[peer_id] = table
         return snapshot
 
@@ -762,7 +382,7 @@ class LivePipeline:
         # The span is managed by hand (not ``with``) so the resume and
         # prime phases — which already consume the traced source — sit
         # inside it; lazily opened mrt-decode spans then nest properly.
-        run_span = tracer.span("live-run", shards=config.shards).__enter__()
+        run_span = tracer.span("live-run").__enter__()
         try:
             # Resume or prime --------------------------------------------
             iterator = iter(self.records)
@@ -806,12 +426,6 @@ class LivePipeline:
                 if record.peer_id in vp_set:
                     self._projects[record.peer_id] = record.project
 
-            universe: Set[Prefix] = set()
-            for record in prime:
-                for element in record.elements:
-                    universe.add(element.prefix)
-            self._sharder = PrefixSharder(universe, config.shards)
-
             run = LiveRun(
                 windows=[],
                 atoms=None,
@@ -823,225 +437,203 @@ class LivePipeline:
             run.store_keys = list(store_keys)
             unmerged = 0
 
-            self._workers = [
-                _ShardWorker(
-                    shard_id,
-                    self._vps,
-                    self._pool,
-                    config,
-                    self._outbox,
-                    tracer.enabled,
-                )
-                for shard_id in range(config.shards)
-            ]
-            for worker in self._workers:
-                worker.start()
-            try:
-                # Prime the shards and take the initial partition.
-                for record in prime:
-                    if record.peer_id not in vp_set:
-                        continue
-                    self._dispatch(record)
-                    run.prime_records += 1
-                    if prime_counts_consumed:
-                        self._consumed += 1
-                if tracer.enabled and run.prime_records:
-                    tracer.count("live.prime_records", run.prime_records)
-                self._refresh_barrier(tracer)
-                previous_atoms = self._view.atom_set(self._vps, 0)
+            snapshot = RIBSnapshot()
+            atom_index = AtomIndex(
+                snapshot,
+                vantage_points=self._vps,
+                expand_singleton_sets=config.expand_singleton_sets,
+                strip_prepending=config.strip_prepending,
+            )
 
-                # Window state.
-                window_start: Optional[int] = None
-                window_end: Optional[int] = None
-                stats = _WindowStats()
-                stopped = False
+            # Prime the RIB and take the initial partition.
+            for record in prime:
+                if record.peer_id not in vp_set:
+                    continue
+                self._apply(snapshot, record)
+                run.prime_records += 1
+                if prime_counts_consumed:
+                    self._consumed += 1
+            if tracer.enabled and run.prime_records:
+                tracer.count("live.prime_records", run.prime_records)
+            atom_index.refresh_delta()
+            previous_atoms = atom_index.atoms()
 
-                def close_window(boundary_end: int) -> None:
-                    nonlocal previous_atoms, unmerged
-                    assert window_start is not None
-                    index = window_start // config.window_seconds
-                    with tracer.span(
-                        "live-window", index=index, end=boundary_end
-                    ) as span:
-                        began = time.perf_counter()
-                        pressure_before = self._backpressure
-                        dirty, changed = self._refresh_barrier(tracer)
-                        atoms = self._view.atom_set(self._vps, boundary_end)
-                        created, removed = window_churn(previous_atoms, atoms)
-                        pr_full = (
-                            window_correlation(
-                                previous_atoms,
-                                stats.update_records,
-                                max_size=config.correlation_max_size,
-                            )
-                            if config.correlation
-                            else None
+            # Window state.
+            window_start: Optional[int] = None
+            window_end: Optional[int] = None
+            stats = _WindowStats()
+            stopped = False
+
+            def close_window(boundary_end: int) -> None:
+                nonlocal previous_atoms, unmerged
+                assert window_start is not None
+                index = window_start // config.window_seconds
+                with tracer.span("live-window", index=index, end=boundary_end) as span:
+                    began = time.perf_counter()
+                    dirty = atom_index.dirty_count
+                    changed = len(atom_index.refresh_delta())
+                    snapshot.timestamp = boundary_end
+                    atoms = atom_index.atoms()
+                    created, removed = window_churn(previous_atoms, atoms)
+                    pr_full = (
+                        window_correlation(
+                            previous_atoms,
+                            stats.update_records,
+                            max_size=config.correlation_max_size,
                         )
-                        result = WindowResult(
-                            index=index,
-                            start=window_start,
-                            end=boundary_end,
+                        if config.correlation
+                        else None
+                    )
+                    result = WindowResult(
+                        index=index,
+                        start=window_start,
+                        end=boundary_end,
+                        records=stats.records,
+                        elements=stats.elements,
+                        announcements=stats.announcements,
+                        withdrawals=stats.withdrawals,
+                        late_records=stats.late,
+                        dirty=dirty,
+                        key_changes=changed,
+                        atoms=len(atoms),
+                        prefixes=atoms.prefix_count(),
+                        created=created,
+                        removed=removed,
+                        pr_full=pr_full,
+                    )
+                    tables = None
+                    if config.parity == "window" or (
+                        checkpoint is not None
+                        and (len(run.windows) + 1) % config.checkpoint_every == 0
+                    ):
+                        tables = self._copy_tables(snapshot)
+                    if config.parity == "window":
+                        assert tables is not None
+                        self._check_parity(atoms, tables, boundary_end, tracer)
+                        run.parity_checks += 1
+                    run.windows.append(result)
+                    if config.store_dir is not None:
+                        key = self._write_store_window(
+                            atoms, index, boundary_end, tracer
+                        )
+                        store_keys.append(key)
+                        run.store_keys.append(key)
+                        unmerged += 1
+                        if (
+                            config.store_merge_every
+                            and unmerged >= config.store_merge_every
+                        ):
+                            self._merge_store(store_keys, tracer)
+                            unmerged = 0
+                    if (
+                        checkpoint is not None
+                        and tables is not None
+                        and len(run.windows) % config.checkpoint_every == 0
+                    ):
+                        self._save_checkpoint(
+                            checkpoint, tables, index, boundary_end, tracer
+                        )
+                        run.checkpoints += 1
+                    result.wall_seconds = time.perf_counter() - began
+                    if tracer.enabled:
+                        span.set(
                             records=stats.records,
-                            elements=stats.elements,
-                            announcements=stats.announcements,
-                            withdrawals=stats.withdrawals,
-                            late_records=stats.late,
                             dirty=dirty,
                             key_changes=changed,
                             atoms=len(atoms),
-                            prefixes=self._view.prefix_count,
-                            created=created,
-                            removed=removed,
-                            pr_full=pr_full,
+                            churn_created=created,
+                            churn_removed=removed,
+                            wall_seconds=result.wall_seconds,
                         )
-                        tables = None
-                        if config.parity == "window" or (
-                            checkpoint is not None
-                            and (len(run.windows) + 1) % config.checkpoint_every == 0
-                        ):
-                            tables = self._dump_barrier()
-                        if config.parity == "window":
-                            assert tables is not None
-                            self._check_parity(atoms, tables, boundary_end, tracer)
-                            run.parity_checks += 1
-                        run.windows.append(result)
-                        if config.store_dir is not None:
-                            key = self._write_store_window(
-                                atoms, index, boundary_end, tracer
-                            )
-                            store_keys.append(key)
-                            run.store_keys.append(key)
-                            unmerged += 1
-                            if (
-                                config.store_merge_every
-                                and unmerged >= config.store_merge_every
-                            ):
-                                self._merge_store(store_keys, tracer)
-                                unmerged = 0
-                        if (
-                            checkpoint is not None
-                            and tables is not None
-                            and len(run.windows) % config.checkpoint_every == 0
-                        ):
-                            self._save_checkpoint(
-                                checkpoint, tables, index, boundary_end, tracer
-                            )
-                            run.checkpoints += 1
-                        result.wall_seconds = time.perf_counter() - began
-                        result.backpressure_waits = self._backpressure - pressure_before
-                        if tracer.enabled:
-                            span.set(
-                                records=stats.records,
-                                dirty=dirty,
-                                key_changes=changed,
-                                atoms=len(atoms),
-                                churn_created=created,
-                                churn_removed=removed,
-                                wall_seconds=result.wall_seconds,
-                                backpressure_waits=result.backpressure_waits,
-                            )
-                            tracer.count("live.windows")
-                            tracer.count("live.records", stats.records)
-                            tracer.count("live.elements", stats.elements)
-                            tracer.count("live.announcements", stats.announcements)
-                            tracer.count("live.withdrawals", stats.withdrawals)
-                            if stats.late:
-                                tracer.count("live.late_records", stats.late)
-                            tracer.count("live.dirty", dirty)
-                            tracer.count("live.key_changes", changed)
-                            tracer.count("live.churn_created", created)
-                            tracer.count("live.churn_removed", removed)
-                        previous_atoms = atoms
-                        run.atoms = atoms
-                        stats.reset()
-                        if on_window is not None:
-                            on_window(result)
+                        tracer.count("live.windows")
+                        tracer.count("live.records", stats.records)
+                        tracer.count("live.elements", stats.elements)
+                        tracer.count("live.announcements", stats.announcements)
+                        tracer.count("live.withdrawals", stats.withdrawals)
+                        if stats.late:
+                            tracer.count("live.late_records", stats.late)
+                        tracer.count("live.dirty", dirty)
+                        tracer.count("live.key_changes", changed)
+                        tracer.count("live.churn_created", created)
+                        tracer.count("live.churn_removed", removed)
+                    previous_atoms = atoms
+                    run.atoms = atoms
+                    stats.reset()
+                    if on_window is not None:
+                        on_window(result)
 
-                # The stream proper.
-                source: Iterator[RouteRecord] = iterator
-                if pending is not None:
-                    source = _chain_one(pending, iterator)
-                for record in source:
-                    if skip > 0:
-                        skip -= 1
-                        self._consumed += 1
-                        run.skipped += 1
-                        continue
-                    if record.peer_id not in vp_set:
-                        self._consumed += 1
-                        if tracer.enabled:
-                            tracer.count("live.foreign_records")
-                        continue
-                    timestamp = record.timestamp
-                    if window_end is not None and timestamp >= window_end:
-                        close_window(window_end)
-                        window_start = None
-                        window_end = None
-                        if (
-                            config.max_windows is not None
-                            and len(run.windows) >= config.max_windows
-                        ):
-                            stopped = True
-                            break
-                    if window_end is None:
-                        index = timestamp // config.window_seconds
-                        window_start = index * config.window_seconds
-                        window_end = window_start + config.window_seconds
-                    self._projects.setdefault(record.peer_id, record.project)
-                    applied = self._dispatch(record)
-                    stats.fold(record, applied, window_start or 0)
-                    run.records += 1
+            # The stream proper.
+            source: Iterator[RouteRecord] = iterator
+            if pending is not None:
+                source = _chain_one(pending, iterator)
+            for record in source:
+                if skip > 0:
+                    skip -= 1
                     self._consumed += 1
-
-                if not stopped and window_end is not None:
+                    run.skipped += 1
+                    continue
+                if record.peer_id not in vp_set:
+                    self._consumed += 1
+                    if tracer.enabled:
+                        tracer.count("live.foreign_records")
+                    continue
+                timestamp = record.timestamp
+                if window_end is not None and timestamp >= window_end:
                     close_window(window_end)
-                run.stopped_early = stopped
+                    window_start = None
+                    window_end = None
+                    if (
+                        config.max_windows is not None
+                        and len(run.windows) >= config.max_windows
+                    ):
+                        stopped = True
+                        break
+                if window_end is None:
+                    index = timestamp // config.window_seconds
+                    window_start = index * config.window_seconds
+                    window_end = window_start + config.window_seconds
+                self._projects.setdefault(record.peer_id, record.project)
+                applied = self._apply(snapshot, record)
+                stats.fold(record, applied, window_start or 0)
+                run.records += 1
+                self._consumed += 1
 
-                if run.skipped and tracer.enabled:
-                    tracer.count("live.replay_skipped", run.skipped)
+            if not stopped and window_end is not None:
+                close_window(window_end)
+            run.stopped_early = stopped
 
-                # Finalisation: a clean stop checkpoints the last
-                # boundary (so resuming a finished stream is a no-op)
-                # and merges any store parts not yet folded in.
-                if checkpoint is not None and run.windows:
-                    last = run.windows[-1]
-                    if len(run.windows) % config.checkpoint_every != 0:
-                        tables = self._dump_barrier()
-                        self._save_checkpoint(
-                            checkpoint, tables, last.index, last.end, tracer
-                        )
-                        run.checkpoints += 1
-                if config.store_dir is not None and store_keys and unmerged:
-                    self._merge_store(store_keys, tracer)
-                elif (
-                    config.store_dir is not None
-                    and store_keys
-                    and not config.store_merge_every
-                ):
-                    self._merge_store(store_keys, tracer)
-                if tracer.enabled:
-                    run_span.set(
-                        windows=len(run.windows),
-                        records=run.records,
-                        backpressure_waits=self._backpressure,
+            if run.skipped and tracer.enabled:
+                tracer.count("live.replay_skipped", run.skipped)
+
+            # Finalisation: a clean stop checkpoints the last boundary
+            # (so resuming a finished stream is a no-op) and merges any
+            # store parts not yet folded in.
+            if checkpoint is not None and run.windows:
+                last = run.windows[-1]
+                if len(run.windows) % config.checkpoint_every != 0:
+                    self._save_checkpoint(
+                        checkpoint,
+                        self._copy_tables(snapshot),
+                        last.index,
+                        last.end,
+                        tracer,
                     )
-            finally:
-                self._stop_workers(tracer)
+                    run.checkpoints += 1
+            if config.store_dir is not None and store_keys and unmerged:
+                self._merge_store(store_keys, tracer)
+            elif (
+                config.store_dir is not None
+                and store_keys
+                and not config.store_merge_every
+            ):
+                self._merge_store(store_keys, tracer)
+            if tracer.enabled:
+                run_span.set(windows=len(run.windows), records=run.records)
         finally:
             run_span.__exit__(None, None, None)
         if run.atoms is None and run.prime_records:
             run.atoms = previous_atoms
         return run
-
-    @property
-    def _pool(self) -> ThreadSafeInternPool:
-        """The shared worker intern pool (created on first use)."""
-        if self._pool_instance is None:
-            self._pool_instance = ThreadSafeInternPool(
-                self.config.expand_singleton_sets,
-                self.config.strip_prepending,
-            )
-        return self._pool_instance
 
 
 class _WindowStats:

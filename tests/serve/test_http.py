@@ -2,11 +2,13 @@
 
 import http.client
 import json
+import logging
 import socket
 
 import pytest
 
 from repro.serve import encode_body, etag_for, serve_in_thread
+from repro.serve.http import MAX_BODY
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,70 @@ class TestConnections:
         ) as sock:
             sock.sendall(b"GARBAGE\r\n\r\n")
             assert sock.recv(1024) == b""
+
+
+def exchange(server, payload):
+    """Send raw bytes on a fresh socket; everything read back until EOF."""
+    with socket.create_connection(
+        (server.host, server.port), timeout=10
+    ) as sock:
+        sock.sendall(payload)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestFraming:
+    """Damaged framing is answered with a 4xx and a close, never a crash."""
+
+    def _rejected(self, server, caplog, payload, status):
+        caplog.set_level(logging.ERROR, logger="asyncio")
+        reply = exchange(server, payload)
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+        # A later request proves the server survived and lets the loop
+        # finish the rejected connection's handler before checking logs.
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+        try:
+            assert fetch(conn, "/healthz")[0] == 200
+        finally:
+            conn.close()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    def test_malformed_request_line_400(self, server, caplog):
+        self._rejected(server, caplog, b"GET HTTP/1.1\r\n\r\n", 400)
+
+    def test_negative_content_length_400(self, server, caplog):
+        payload = b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        self._rejected(server, caplog, payload, 400)
+
+    def test_non_numeric_content_length_400(self, server, caplog):
+        payload = b"GET /healthz HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n"
+        self._rejected(server, caplog, payload, 400)
+
+    def test_line_over_stream_limit_431(self, server, caplog):
+        payload = b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n"
+        self._rejected(server, caplog, payload, 431)
+
+    @pytest.mark.parametrize(
+        "padding", [MAX_BODY, 4 << 20], ids=["smuggled-tail", "large-upload"]
+    )
+    def test_body_over_max_body_413(self, server, caplog, padding):
+        # The tail would be answered as a second request if the server
+        # read only MAX_BODY bytes of the declared body.  A large upload
+        # still unread when the server closes would reset the connection
+        # and lose the 413 unless the server drains it first.
+        tail = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        body = b"x" * padding + tail
+        payload = (
+            b"GET /healthz HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body
+        )
+        self._rejected(server, caplog, payload, 413)
 
 
 class TestLifecycle:

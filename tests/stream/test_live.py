@@ -17,13 +17,8 @@ from repro.core.atoms import compute_atoms
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.store import AtomStore
-from repro.stream.live import (
-    LiveConfig,
-    LiveError,
-    LivePipeline,
-    PrefixSharder,
-    ThreadSafeInternPool,
-)
+from repro.obs import Tracer, use_tracer
+from repro.stream.live import LiveConfig, LiveError, LivePipeline
 
 PEERS = [("rrc00", 1, "10.9.1.1"), ("rrc00", 2, "10.9.2.1"),
          ("rrc01", 3, "10.9.3.1")]
@@ -133,77 +128,30 @@ def assert_atoms_equal(ours, theirs):
         assert tuple(mine.paths) == tuple(other.paths)
 
 
-class TestPrefixSharder:
-    def test_single_shard_routes_everything_to_zero(self):
-        sharder = PrefixSharder(
-            [Prefix.parse("10.0.1.0/24"), Prefix.parse("10.0.2.0/24")], 1
-        )
-        assert sharder.route(Prefix.parse("192.168.0.0/16")) == 0
-
-    def test_routing_is_total_and_in_range(self):
-        universe = [Prefix.parse(f"10.0.{i}.0/24") for i in range(32)]
-        sharder = PrefixSharder(universe, 4)
-        seen = set()
-        for prefix in universe + [Prefix.parse("203.0.113.0/24")]:
-            shard = sharder.route(prefix)
-            assert 0 <= shard < 4
-            seen.add(shard)
-        assert seen == {0, 1, 2, 3}
-
-    def test_more_shards_than_prefixes_collapses(self):
-        sharder = PrefixSharder([Prefix.parse("10.0.1.0/24")], 8)
-        assert sharder.route(Prefix.parse("10.0.1.0/24")) == 0
-
-    def test_ranges_are_contiguous(self):
-        universe = sorted(
-            (Prefix.parse(f"10.{i}.0.0/16") for i in range(20)), key=Prefix.key
-        )
-        sharder = PrefixSharder(universe, 3)
-        shards = [sharder.route(p) for p in universe]
-        assert shards == sorted(shards)
-
-
 class TestLiveConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             LiveConfig(window_seconds=0)
         with pytest.raises(ValueError):
-            LiveConfig(shards=0)
-        with pytest.raises(ValueError):
-            LiveConfig(queue_depth=0)
+            LiveConfig(checkpoint_every=0)
         with pytest.raises(ValueError):
             LiveConfig(parity="sometimes")
 
     def test_payload_excludes_shard_count(self):
-        payload = LiveConfig(shards=7, queue_depth=3).payload()
-        assert "shards" not in payload
-        assert "queue_depth" not in payload
+        # Checkpoints written while shard count was a knob (never part
+        # of the payload) must keep resuming: the key set is frozen.
+        payload = LiveConfig().payload()
+        assert set(payload) == {
+            "window_seconds", "family",
+            "expand_singleton_sets", "strip_prepending",
+        }
         assert payload["window_seconds"] == 900
-
-
-class TestThreadSafeInternPool:
-    def test_concurrent_interning_yields_one_instance(self):
-        pool = ThreadSafeInternPool()
-        raw = ASPath.parse("1 2 3")
-        results = []
-
-        def intern():
-            for _ in range(200):
-                results.append(pool.path(ASPath.parse("1 2 3")))
-
-        threads = [threading.Thread(target=intern) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        first = pool.path(raw)
-        assert all(path is first for path in results)
 
 
 class TestLivePipeline:
     def test_windows_close_with_parity(self):
         run = LivePipeline(
-            full_stream(), LiveConfig(window_seconds=W, shards=2)
+            full_stream(), LiveConfig(window_seconds=W)
         ).run()
         assert [w.index for w in run.windows] == [1, 2, 3]
         assert run.parity_checks == 3
@@ -224,19 +172,6 @@ class TestLivePipeline:
         run = LivePipeline(stream, LiveConfig(window_seconds=W)).run()
         assert run.atoms is not None
         assert_atoms_equal(run.atoms, cold_atoms(stream))
-
-    def test_shard_count_does_not_change_results(self):
-        runs = [
-            LivePipeline(
-                full_stream(), LiveConfig(window_seconds=W, shards=shards)
-            ).run()
-            for shards in (1, 3)
-        ]
-        assert_atoms_equal(runs[0].atoms, runs[1].atoms)
-        for a, b in zip(runs[0].windows, runs[1].windows):
-            assert a.as_dict(deterministic_only=True) == b.as_dict(
-                deterministic_only=True
-            )
 
     def test_prime_only_stream_still_yields_atoms(self):
         run = LivePipeline(prime_records(), LiveConfig(window_seconds=W)).run()
@@ -284,15 +219,7 @@ class TestLivePipeline:
         stream.insert(4, update_record(
             PEERS[0], 120, withdrawn=["172.16.0.0/16"]
         ))
-        run = LivePipeline(
-            stream, LiveConfig(window_seconds=W, shards=2)
-        ).run()
-        assert run.parity_checks == 3
-        assert_atoms_equal(run.atoms, cold_atoms(full_stream()))
-
-    def test_backpressure_with_tiny_queues(self):
-        config = LiveConfig(window_seconds=W, shards=2, queue_depth=1)
-        run = LivePipeline(full_stream(), config).run()
+        run = LivePipeline(stream, LiveConfig(window_seconds=W)).run()
         assert run.parity_checks == 3
         assert_atoms_equal(run.atoms, cold_atoms(full_stream()))
 
@@ -308,8 +235,8 @@ class TestLivePipeline:
             ElementType.ANNOUNCEMENT, Prefix.parse("10.0.2.0/24"),
             PathAttributes(ASPath.parse("1 7 9")),
         )
-        # Poison the attribute bundle so the worker's key recomputation
-        # blows up at the next refresh barrier.
+        # Poison the attribute bundle so the key recomputation blows up
+        # at the next window boundary's refresh.
         object.__setattr__(element, "attributes", object())
         collector, peer_asn, peer_address = PEERS[0]
         bad = RouteRecord(
@@ -320,8 +247,26 @@ class TestLivePipeline:
             bad,
             update_record(PEERS[0], 210, announced=[("10.0.3.0/24", "1 7 9")]),
         ]
-        with pytest.raises(LiveError, match="shard 0 failed"):
-            LivePipeline(stream, LiveConfig(window_seconds=W)).run()
+        seen = []
+        with pytest.raises(AttributeError):
+            LivePipeline(stream, LiveConfig(window_seconds=W)).run(
+                on_window=seen.append
+            )
+        assert seen == []
+
+    def test_refresh_nests_under_window_span_on_calling_thread(self):
+        threads = threading.active_count()
+        counts = []
+        tracer = Tracer()
+        with use_tracer(tracer):
+            LivePipeline(full_stream(), LiveConfig(window_seconds=W)).run(
+                on_window=lambda _: counts.append(threading.active_count())
+            )
+        assert counts == [threads] * 3
+        windows = {s.span_id for s in tracer.spans if s.name == "live-window"}
+        refreshes = [s for s in tracer.spans if s.name == "atoms-refresh"]
+        assert len(windows) == 3
+        assert sorted(s.parent_id for s in refreshes[1:]) == sorted(windows)
 
 
 class TestCheckpointResume:
@@ -370,19 +315,6 @@ class TestCheckpointResume:
         resumed = LivePipeline(full_stream(), config).run()
         assert resumed.resumed and resumed.resumed_from == 1
         assert [w.index for w in resumed.windows] == [2, 3]
-        assert_atoms_equal(resumed.atoms, self._reference().atoms)
-
-    def test_resume_under_different_shard_count(self, tmp_path):
-        first = LiveConfig(
-            window_seconds=W, shards=3,
-            checkpoint_dir=tmp_path / "c", max_windows=1,
-        )
-        LivePipeline(full_stream(), first).run()
-        second = LiveConfig(
-            window_seconds=W, shards=1, checkpoint_dir=tmp_path / "c"
-        )
-        resumed = LivePipeline(full_stream(), second).run()
-        assert resumed.resumed
         assert_atoms_equal(resumed.atoms, self._reference().atoms)
 
     def test_resuming_a_finished_stream_is_a_noop(self, tmp_path):

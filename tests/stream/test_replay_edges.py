@@ -56,9 +56,7 @@ class TestOutOfOrderTimestamps:
 
     def test_parity_holds_despite_reordering(self):
         stream = out_of_order_stream()
-        run = LivePipeline(
-            stream, LiveConfig(window_seconds=W, shards=2)
-        ).run()
+        run = LivePipeline(stream, LiveConfig(window_seconds=W)).run()
         assert run.parity_checks == len(run.windows)
         assert_atoms_equal(run.atoms, cold_atoms(stream))
 
@@ -95,9 +93,7 @@ class TestWithdrawBeforeAnnounce:
         stream.insert(6, update_record(
             PEERS[1], 160, withdrawn=["198.51.100.0/24", "10.0.9.0/24"]
         ))
-        run = LivePipeline(
-            stream, LiveConfig(window_seconds=W, shards=3)
-        ).run()
+        run = LivePipeline(stream, LiveConfig(window_seconds=W)).run()
         assert run.parity_checks == len(run.windows)
         assert_atoms_equal(run.atoms, cold_atoms(full_stream()))
 
