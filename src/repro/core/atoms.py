@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
@@ -40,33 +41,44 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.intern import PathInternPool
 
 
+def vector_origins(paths: Tuple[Optional[ASPath], ...]) -> FrozenSet[int]:
+    """Origin ASNs across a path vector (more than one only for MOAS)."""
+    return frozenset(
+        path.origin
+        for path in paths
+        if path is not None and path.origin is not None
+    )
+
+
 class PolicyAtom:
     """One atom: its prefixes plus the shared path vector.
 
     ``paths[i]`` is the AS path seen by ``vantage_points[i]`` of the
     owning :class:`AtomSet` (None when the atom's prefixes are not in
-    that vantage point's table).
+    that vantage point's table).  ``origins`` may pass the precomputed
+    :func:`vector_origins` of ``paths`` (the incremental index keeps one
+    per path vector); otherwise :meth:`origins` walks the vector.
     """
 
-    __slots__ = ("atom_id", "prefixes", "paths")
+    __slots__ = ("atom_id", "prefixes", "paths", "_origins")
 
     def __init__(self, atom_id: int, prefixes: FrozenSet[Prefix],
-                 paths: Tuple[Optional[ASPath], ...]):
+                 paths: Tuple[Optional[ASPath], ...],
+                 origins: Optional[FrozenSet[int]] = None):
         self.atom_id = atom_id
         self.prefixes = prefixes
         self.paths = paths
+        self._origins = origins
 
     @property
     def size(self) -> int:
         return len(self.prefixes)
 
-    def origins(self) -> Set[int]:
+    def origins(self) -> AbstractSet[int]:
         """Origin ASNs across the path vector (>1 only for MOAS)."""
-        found: Set[int] = set()
-        for path in self.paths:
-            if path is not None and path.origin is not None:
-                found.add(path.origin)
-        return found
+        if self._origins is not None:
+            return self._origins
+        return vector_origins(self.paths)
 
     @property
     def origin(self) -> Optional[int]:

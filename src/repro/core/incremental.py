@@ -32,10 +32,10 @@ one index over its RIB and refreshes it with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.bgp.rib import PeerId, RIBSnapshot
-from repro.core.atoms import AtomSet, PolicyAtom
+from repro.core.atoms import AtomSet, PolicyAtom, vector_origins
 from repro.core.intern import PathInternPool
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
@@ -100,6 +100,14 @@ class AtomIndex:
         self._keys: Dict[Prefix, Tuple] = {}
         #: interned vector -> member prefixes
         self._groups: Dict[Tuple, Set[Prefix]] = {}
+        # Extraction memos, keyed by id(vector) like the ``is`` test in
+        # _apply_key (the vector stays alive as a _groups key) and
+        # dropped with their group, so neither outgrows the live groups.
+        #: id(vector) -> its origin set, computed once per group
+        self._origins: Dict[int, FrozenSet[int]] = {}
+        #: id(vector) -> Prefix.key of the group's smallest member;
+        #: dropped whenever a member leaves, recomputed in atoms()
+        self._first_keys: Dict[int, Tuple[int, int, int]] = {}
         self._dirty: Set[Prefix] = set()
         snapshot.add_mutation_listener(self._on_mutation)
         self._rebuild()
@@ -161,11 +169,16 @@ class AtomIndex:
             members.discard(prefix)
             if not members:
                 del self._groups[old]
+                self._origins.pop(id(old), None)
+            self._first_keys.pop(id(old), None)
         if key is None:
             self._keys.pop(prefix, None)
         else:
             self._keys[prefix] = key
             self._groups.setdefault(key, set()).add(prefix)
+            first = self._first_keys.get(id(key))
+            if first is not None:
+                self._first_keys[id(key)] = min(first, Prefix.key(prefix))
 
     def _rebuild(self) -> None:
         """Full recomputation (the initial build)."""
@@ -255,12 +268,18 @@ class AtomIndex:
         groups are emitted here.
         """
         self.refresh()
+        first_keys = self._first_keys
+        origins = self._origins
+        for vector, members in self._groups.items():
+            if id(vector) not in first_keys:
+                first_keys[id(vector)] = min(map(Prefix.key, members))
+            if id(vector) not in origins:
+                origins[id(vector)] = vector_origins(vector)
         ordered = sorted(
-            self._groups.items(),
-            key=lambda item: Prefix.key(min(item[1], key=Prefix.key)),
+            self._groups.items(), key=lambda item: first_keys[id(item[0])]
         )
         atoms = [
-            PolicyAtom(atom_id, frozenset(members), vector)
+            PolicyAtom(atom_id, frozenset(members), vector, origins[id(vector)])
             for atom_id, (vector, members) in enumerate(ordered)
         ]
         return AtomSet(atoms, list(self.vantage_points), self.snapshot.timestamp)

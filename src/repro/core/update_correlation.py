@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.bgp.messages import RouteRecord
-from repro.core.atoms import AtomSet
-from repro.net.prefix import Prefix
+from repro.core.atoms import AtomSet, PolicyAtom
 
 #: Group kinds reported by the analysis (the four curves of Figure 3).
 GROUP_ATOM = "atom"
@@ -60,28 +59,83 @@ class UpdateCorrelation:
         return [(k, self.pr_full(kind, k)) for k in range(2, max_size + 1)]
 
 
-def _build_groups(atom_set: AtomSet) -> Dict[str, Dict[int, FrozenSet[Prefix]]]:
-    """Prefix membership of every analysed group kind."""
-    groups: Dict[str, Dict[int, FrozenSet[Prefix]]] = {
-        GROUP_ATOM: {},
-        GROUP_AS: {},
-        GROUP_AS_MULTI_ATOM: {},
-        GROUP_AS_SINGLE_ATOMS: {},
-    }
-    for atom in atom_set:
-        groups[GROUP_ATOM][atom.atom_id] = atom.prefixes
+#: (kind, group id) of one group
+_GroupKey = Tuple[str, int]
 
-    for origin, atoms in atom_set.atoms_by_origin().items():
-        prefixes: Set[Prefix] = set()
-        for atom in atoms:
-            prefixes |= atom.prefixes
-        frozen = frozenset(prefixes)
-        groups[GROUP_AS][origin] = frozen
-        if any(atom.size > 1 for atom in atoms):
-            groups[GROUP_AS_MULTI_ATOM][origin] = frozen
-        else:
-            groups[GROUP_AS_SINGLE_ATOMS][origin] = frozen
-    return groups
+
+class _GroupResolver:
+    """The groups a prefix belongs to, resolved on first touch.
+
+    A prefix belongs to its atom's group and, for each origin of that
+    atom (several for a MOAS atom), to the origin's AS group plus
+    exactly one of the multi-atom / single-atoms AS groups.  Only the
+    atoms a record touches are resolved.  The origin totals and the
+    MOAS origin order read :meth:`AtomSet.atoms_by_origin`, which walks
+    every atom once per atom set (memoised), so that one step is still
+    linear in the number of atoms.  Keys come out in the order
+    a full reverse index over every group would list them: the atom
+    first, then each kind in turn with origins in
+    :meth:`AtomSet.atoms_by_origin` order.
+    """
+
+    def __init__(self, atom_set: AtomSet, max_size: Optional[int]):
+        self.atom_set = atom_set
+        self.max_size = max_size
+        #: size of every group resolved so far
+        self.sizes: Dict[_GroupKey, int] = {}
+        self._by_atom: Dict[int, List[_GroupKey]] = {}
+        #: origin -> (AS group size, has an atom of more than one prefix)
+        self._totals: Dict[int, Tuple[int, bool]] = {}
+        self._rank: Optional[Dict[int, int]] = None
+
+    def keys(self, atom: PolicyAtom) -> List[_GroupKey]:
+        found = self._by_atom.get(id(atom))
+        if found is None:
+            found = self._by_atom[id(atom)] = self._resolve(atom)
+        return found
+
+    def _origin_totals(self, origin: int) -> Tuple[int, bool]:
+        totals = self._totals.get(origin)
+        if totals is None:
+            # Atoms partition the prefixes, so an AS group's size is
+            # the sum of its atoms' sizes.
+            atoms = self.atom_set.atoms_by_origin()[origin]
+            totals = self._totals[origin] = (
+                sum(atom.size for atom in atoms),
+                any(atom.size > 1 for atom in atoms),
+            )
+        return totals
+
+    def _resolve(self, atom: PolicyAtom) -> List[_GroupKey]:
+        max_size = self.max_size
+        sizes = self.sizes
+        keys: List[_GroupKey] = []
+        if max_size is None or atom.size <= max_size:
+            key = (GROUP_ATOM, atom.atom_id)
+            keys.append(key)
+            sizes[key] = atom.size
+        origins = list(atom.origins())
+        if len(origins) > 1:
+            if self._rank is None:
+                self._rank = {
+                    origin: rank
+                    for rank, origin in enumerate(self.atom_set.atoms_by_origin())
+                }
+            origins.sort(key=self._rank.__getitem__)
+        split: List[_GroupKey] = []
+        for origin in origins:
+            size, multi = self._origin_totals(origin)
+            if max_size is not None and size > max_size:
+                continue
+            kind = GROUP_AS_MULTI_ATOM if multi else GROUP_AS_SINGLE_ATOMS
+            as_key, split_key = (GROUP_AS, origin), (kind, origin)
+            sizes[as_key] = sizes[split_key] = size
+            keys.append(as_key)
+            split.append(split_key)
+        # Every multi-atom key precedes every single-atoms key.
+        split.sort(key=lambda key: key[0] != GROUP_AS_MULTI_ATOM)
+        keys.extend(split)
+        return keys
 
 
 def update_correlation(
@@ -92,40 +146,32 @@ def update_correlation(
     """Count full/partial appearances of every group across records.
 
     ``max_size`` skips groups larger than the cut-off (the paper plots
-    k <= 7, which covers 95 % of atoms).
+    k <= 7, which covers 95 % of atoms).  Only the groups of prefixes
+    the records carry are resolved; prefixes outside ``atom_set``
+    belong to no group.
     """
-    membership = _build_groups(atom_set)
-
-    # prefix -> [(kind, group_id)] reverse index, plus per-group sizes.
-    reverse: Dict[Prefix, List[Tuple[str, int]]] = defaultdict(list)
-    sizes: Dict[Tuple[str, int], int] = {}
-    for kind, by_id in membership.items():
-        for group_id, prefixes in by_id.items():
-            if max_size is not None and len(prefixes) > max_size:
-                continue
-            sizes[(kind, group_id)] = len(prefixes)
-            for prefix in prefixes:
-                reverse[prefix].append((kind, group_id))
-
+    resolver = _GroupResolver(atom_set, max_size)
+    atom_of = atom_set.by_prefix.get
     result = UpdateCorrelation()
     for record in records:
         if record.record_type != "update":
             continue
         result.records_seen += 1
-        prefixes = record.prefixes()
-        touched: Dict[Tuple[str, int], int] = defaultdict(int)
-        for prefix in prefixes:
-            for key in reverse.get(prefix, ()):
-                touched[key] += 1
+        touched: Dict[_GroupKey, int] = {}
+        for prefix in record.prefixes():
+            atom = atom_of(prefix)
+            if atom is None:
+                continue
+            for key in resolver.keys(atom):
+                touched[key] = touched.get(key, 0) + 1
         for key, hit_count in touched.items():
             kind, group_id = key
-            size = sizes[key]
             table = result.groups[kind]
             counts = table.get(group_id)
             if counts is None:
-                counts = GroupCounts(size=size)
+                counts = GroupCounts(size=resolver.sizes[key])
                 table[group_id] = counts
-            if hit_count == size:
+            if hit_count == counts.size:
                 counts.n_all += 1
             else:
                 counts.n_partial += 1

@@ -31,7 +31,7 @@ import struct
 import uuid
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.messages import RouteRecord
 from repro.engine.jobs import (
@@ -242,24 +242,16 @@ class StreamCheckpoint:
                 "configuration; resume with the original settings or "
                 "start from a fresh --checkpoint-dir"
             )
+        from repro.stream.serialize import read_records  # see save()
+
         rib_path = self.directory / str(state.get("rib_file", ""))
         try:
-            records = list(self._read_records(rib_path))
+            records = list(read_records(rib_path))
         except (OSError, EOFError, ValueError) as error:
             raise StreamCheckpointError(
                 f"cannot read checkpoint RIB {rib_path}: {error}"
             ) from error
         return state, records
-
-    @staticmethod
-    def _read_records(path: Path) -> Iterator[RouteRecord]:
-        from repro.stream.serialize import record_from_json
-
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield record_from_json(line)
 
     def clear(self) -> None:
         """Forget the saved state (state file and boundary RIBs)."""

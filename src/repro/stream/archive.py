@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.bgp.messages import RouteRecord
-from repro.stream.serialize import record_from_json, record_to_json
+from repro.stream.serialize import read_records, record_to_json
 
 
 class RecordArchive:
@@ -83,12 +83,8 @@ class RecordArchive:
     # ------------------------------------------------------------------
 
     def read_file(self, path: os.PathLike) -> Iterator[RouteRecord]:
-        """Stream the records of one dump file."""
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    yield record_from_json(line)
+        """Stream the records of one dump file (see :func:`read_records`)."""
+        return read_records(path)
 
     def dumps(
         self,

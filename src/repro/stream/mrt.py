@@ -27,6 +27,7 @@ from repro.bgp.messages import ElementType, RouteElement, RouteRecord
 from repro.net.aspath import AS_TRANS, ASPath, PathSegment, SegmentType, merge_as4_path
 from repro.net.prefix import AF_INET, AF_INET6, Prefix
 from repro.obs import get_tracer
+from repro.stream.serialize import AttributeMemo, make_room
 
 # MRT types.
 MRT_TABLE_DUMP_V2 = 13
@@ -158,13 +159,29 @@ def _encode_as_path(path: ASPath, asn_size: int = 4) -> bytes:
 
 
 def _decode_attributes(
-    data: "bytes | memoryview", asn_size: int
+    data: "bytes | memoryview",
+    asn_size: int,
+    memo: Optional[AttributeMemo] = None,
 ) -> Tuple[Optional[PathAttributes], List[Prefix], List[Prefix], int]:
     """Decode a BGP UPDATE's path-attribute block.
 
     Returns (attributes or None, v6 announced, v6 withdrawn, med) —
     IPv6 NLRI ride inside MP_(UN)REACH attributes.
+
+    Equal blocks decoded through one ``memo`` at the same ASN width
+    yield one shared :class:`PathAttributes` (immutable, so sharing is
+    safe); without a ``memo`` the call uses a fresh one.  Only blocks
+    that carry no MP_(UN)REACH NLRI are memoised: a hit then stands for
+    the whole result, and the NLRI lists are never cached.  A block is
+    memoised only after it decoded cleanly, so a hit skips no check a
+    fresh decode would make.
     """
+    if memo is None:
+        memo = {}
+    key = (bytes(data), asn_size)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached, [], [], cached.med
     as_path: Optional[ASPath] = None
     as4_path: Optional[ASPath] = None
     communities: List[Community] = []
@@ -237,12 +254,11 @@ def _decode_attributes(
         as_path = merge_as4_path(as_path, as4_path)
     if as_path is None:
         return None, v6_announced, v6_withdrawn, med
-    return (
-        PathAttributes(as_path, communities=communities, med=med),
-        v6_announced,
-        v6_withdrawn,
-        med,
-    )
+    attributes = PathAttributes(as_path, communities=communities, med=med)
+    if not v6_announced and not v6_withdrawn:
+        make_room(memo)
+        memo[key] = attributes
+    return attributes, v6_announced, v6_withdrawn, med
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +282,8 @@ class MRTReader:
         #: raw MRT bytes consumed so far (headers + bodies)
         self.bytes_read = 0
         self._peers: List[Tuple[int, str]] = []  # (asn, address) by index
+        #: decoded attribute bundles shared across this stream's entries
+        self._attributes: AttributeMemo = {}
 
     def __iter__(self) -> Iterator[RouteRecord]:
         tracer = get_tracer()
@@ -383,7 +401,9 @@ class MRTReader:
                 peer_asn, peer_address = self._peers[peer_index]
             except IndexError:
                 raise MRTError(f"RIB entry references unknown peer {peer_index}")
-            attributes, _, _, _ = _decode_attributes(attr_block, asn_size=4)
+            attributes, _, _, _ = _decode_attributes(
+                attr_block, 4, self._attributes
+            )
             if attributes is None:
                 continue
             yield RouteRecord(
@@ -472,7 +492,7 @@ class MRTReader:
                 prefix, pos = _decode_nlri(withdrawn_block, pos, AF_INET)
                 elements.append(RouteElement(ElementType.WITHDRAWAL, prefix))
             attributes, v6_announced, v6_withdrawn, _ = _decode_attributes(
-                attr_block, asn_size
+                attr_block, asn_size, self._attributes
             )
             pos = 0
             while pos < len(nlri_block):

@@ -273,3 +273,97 @@ class TestDirtySetEconomy:
         assert index.refresh() == 1
         assert index.stats.dirty_sizes == [1, 1]
         assert_identical(index, snapshot, PEERS)
+
+
+def by_origin_ids(atom_set):
+    """atoms_by_origin() as origin -> atom ids, in dict order."""
+    return [
+        (origin, [atom.atom_id for atom in atoms])
+        for origin, atoms in atom_set.atoms_by_origin().items()
+    ]
+
+
+class TestExtractionMemos:
+    """The per-group origin and first-prefix memos behind atoms().
+
+    Every step of the churn below changes group membership in one way
+    — a split, a merge, a MOAS origin appearing, a group deleted, a
+    group re-created from a vector seen before, a group losing its
+    smallest prefix — and atoms() must still equal a cold
+    compute_atoms, origins included, while neither memo holds more
+    entries than there are live groups.
+    """
+
+    P = ["10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24", "10.0.0.0/24"]
+
+    def check(self, index, snapshot):
+        assert len(index._origins) <= len(index)
+        assert len(index._first_keys) <= len(index)
+        expected = compute_atoms(snapshot, vantage_points=PEERS)
+        actual = index.atoms()
+        assert len(actual) == len(expected)
+        for ours, theirs in zip(actual.atoms, expected.atoms):
+            assert ours.atom_id == theirs.atom_id
+            assert ours.prefixes == theirs.prefixes
+            assert ours.paths == theirs.paths
+            assert ours.origins() == theirs.origins()
+            assert list(ours.origins()) == list(theirs.origins())
+        assert by_origin_ids(actual) == by_origin_ids(expected)
+        assert len(index._origins) == len(index)
+        assert len(index._first_keys) == len(index)
+
+    def test_memos_follow_splits_merges_deletes_and_recreation(self):
+        snapshot = base_snapshot()
+        index = AtomIndex(snapshot, vantage_points=PEERS)
+        self.check(index, snapshot)
+        steps = [
+            # split: 10.0.2.0/24 leaves the shared atom
+            update_record(PEERS[0], announced=[(self.P[1], "1 7 9")]),
+            # merge: it rejoins
+            update_record(PEERS[0], announced=[(self.P[1], "1 5 9")]),
+            # MOAS: a second origin for 10.0.1.0/24 (splits it off)
+            update_record(PEERS[1], announced=[(self.P[0], "2 5 77")]),
+            # the shared atom's smallest prefix now belongs elsewhere;
+            # a new, smaller prefix joins 10.0.3.0/24's vector
+            update_record(PEERS[0], announced=[(self.P[3], "1 6 8")]),
+            update_record(PEERS[1], announced=[(self.P[3], "2 6 8")]),
+            # delete the group of 10.0.3.0/24 and 10.0.0.0/24
+            update_record(PEERS[0], withdrawn=[self.P[2], self.P[3]]),
+            update_record(PEERS[1], withdrawn=[self.P[2], self.P[3]]),
+            # re-create it from the vector seen before
+            update_record(PEERS[0], announced=[(self.P[2], "1 6 8")]),
+            update_record(PEERS[1], announced=[(self.P[2], "2 6 8")]),
+            # undo the MOAS split: back to one shared atom
+            update_record(PEERS[1], announced=[(self.P[0], "2 5 9")]),
+        ]
+        for record in steps:
+            snapshot.apply_record(record)
+            index.refresh()
+            assert len(index._origins) <= len(index)
+            assert len(index._first_keys) <= len(index)
+            self.check(index, snapshot)
+
+    def test_memos_stay_bounded_under_random_churn(self):
+        rng = derive_rng(20261018, "incremental-memo-churn")
+        prefixes = [f"10.{i}.0.0/16" for i in range(16)]
+        tails = [[5, 9], [6, 9], [5, 77], [7, 7, 7], [4, 2]]
+        snapshot = RIBSnapshot()
+        for peer in PEERS:
+            snapshot.apply_record(rib_record(peer, [
+                (text, f"{peer[1]} 5 9") for text in prefixes[:8]
+            ]))
+        index = AtomIndex(snapshot, vantage_points=PEERS)
+        for step in range(150):
+            peer = rng.choice(PEERS)
+            prefix = rng.choice(prefixes)
+            if rng.random() < 0.35:
+                record = update_record(peer, withdrawn=[prefix], timestamp=200 + step)
+            else:
+                tail = " ".join(str(asn) for asn in rng.choice(tails))
+                record = update_record(
+                    peer, announced=[(prefix, f"{peer[1]} {tail}")],
+                    timestamp=200 + step,
+                )
+            snapshot.apply_record(record)
+            if step % 3 == 0:
+                self.check(index, snapshot)

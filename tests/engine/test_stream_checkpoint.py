@@ -1,5 +1,6 @@
 """Tests for the live pipeline's atomic state checkpoint (StreamCheckpoint)."""
 
+import gzip
 import json
 
 import pytest
@@ -109,6 +110,29 @@ def test_truncated_rib_file_is_an_error(tmp_path):
     checkpoint.save(1, 900, [boundary_record()], CONFIG)
     rib = tmp_path / "rib-00000001.jsonl.gz"
     rib.write_bytes(rib.read_bytes()[:-7])
+    with pytest.raises(StreamCheckpointError, match="cannot read"):
+        checkpoint.load()
+
+
+WRONG_SHAPE_LINES = {
+    "empty-object": "{}",
+    "list": "[1]",
+    "elements-not-a-list": json.dumps({
+        "type": "rib", "project": "ris", "collector": "rrc00",
+        "peer_asn": 1, "peer_addr": "10.9.1.1", "time": 900, "elements": 5,
+    }),
+}
+
+
+@pytest.mark.parametrize("line", WRONG_SHAPE_LINES.values(),
+                         ids=list(WRONG_SHAPE_LINES))
+def test_wrong_shape_rib_line_is_a_checkpoint_error(tmp_path, line):
+    """Valid JSON that is not a record fails typed, not as KeyError/TypeError."""
+    checkpoint = StreamCheckpoint(tmp_path)
+    checkpoint.save(1, 900, [boundary_record()], CONFIG)
+    rib = tmp_path / "rib-00000001.jsonl.gz"
+    with gzip.open(rib, "wt", encoding="utf-8") as handle:
+        handle.write(line + "\n")
     with pytest.raises(StreamCheckpointError, match="cannot read"):
         checkpoint.load()
 

@@ -8,6 +8,7 @@ import pytest
 from repro.bgp.attributes import Community, PathAttributes
 from repro.net.aspath import ASPath
 from repro.net.prefix import AF_INET6, Prefix
+from repro.stream import serialize
 from repro.stream.mrt import (
     BGP4MP_MESSAGE_AS4,
     MRT_BGP4MP,
@@ -112,6 +113,110 @@ class TestTableDumpV2:
         stripped = io.BytesIO(data[12 + length:])
         with pytest.raises(MRTError):
             list(read_mrt(stripped))
+
+
+class TestAttributeInterning:
+    """Equal attribute blocks decode to one shared PathAttributes."""
+
+    def test_identical_rib_entries_share_one_object(self):
+        bundle = attrs([65001, 3257, 65010], communities=[Community(3257, 2990)])
+
+        def write(writer):
+            writer.write_peer_index(
+                [(65001, "10.0.0.1"), (65002, "10.0.0.2")], timestamp=100
+            )
+            for text in ("192.0.2.0/24", "198.51.100.0/24"):
+                writer.write_rib_entry(
+                    Prefix.parse(text),
+                    [(65001, "10.0.0.1", bundle), (65002, "10.0.0.2", bundle)],
+                    timestamp=100,
+                )
+            writer.write_rib_entry(
+                Prefix.parse("203.0.113.0/24"),
+                [(65001, "10.0.0.1", attrs([65001, 3257, 65010]))],
+                timestamp=100,
+            )
+
+        records = roundtrip(write)
+        decoded = [record.elements[0].attributes for record in records]
+        assert len(decoded) == 5
+        assert all(attributes is decoded[0] for attributes in decoded[:4])
+        assert decoded[0] == bundle
+        # Different bytes (no community) decode to their own object.
+        assert decoded[4] is not decoded[0]
+        assert decoded[4] == attrs([65001, 3257, 65010])
+
+    def test_identical_updates_share_one_object(self):
+        bundle = attrs([65001, 2, 9], med=5)
+
+        def write(writer):
+            for index in range(3):
+                writer.write_update(
+                    65001, "10.0.0.1",
+                    announced=[(Prefix.parse(f"10.{index}.0.0/16"), bundle)],
+                    withdrawn=[], timestamp=1000 + index,
+                )
+
+        records = roundtrip(write)
+        decoded = [record.elements[0].attributes for record in records]
+        assert decoded[0] is decoded[1] is decoded[2]
+        assert decoded[0] == bundle
+
+    def test_memo_keyed_by_asn_width(self):
+        block = MRTWriter(io.BytesIO())._encode_update_attributes(
+            attrs([1, 2]), asn_size=2
+        )
+        memo = {}
+        narrow, _, _, _ = _decode_attributes(block, 2, memo)
+        assert narrow.as_path == ASPath.from_asns([1, 2])
+        assert _decode_attributes(block, 2, memo)[0] is narrow
+        # The same bytes read as 4-byte ASNs are too short: the 2-byte
+        # decode held in the memo must not answer for them.
+        with pytest.raises(MRTError):
+            _decode_attributes(block, 4, memo)
+        assert len(memo) == 1
+
+    def test_mp_nlri_blocks_are_not_memoised(self):
+        buffer = io.BytesIO()
+        MRTWriter(buffer).write_update(
+            65001, "10.0.0.1",
+            announced=[(Prefix.parse("2001:db8::/32"), attrs([65001, 9]))],
+            withdrawn=[],
+        )
+        block = _attribute_block(buffer.getvalue())
+        memo = {}
+        for _ in range(2):
+            attributes, announced, _, _ = _decode_attributes(block, 4, memo)
+            assert announced == [Prefix.parse("2001:db8::/32")]
+            assert attributes.as_path == ASPath.from_asns([65001, 9])
+        assert memo == {}
+
+    def test_memo_cleared_at_cap(self, monkeypatch):
+        monkeypatch.setattr(serialize, "ATTRIBUTE_MEMO_CAP", 2)
+        writer = MRTWriter(io.BytesIO())
+        blocks = [
+            writer._encode_update_attributes(attrs([65001, asn]))
+            for asn in range(10, 15)
+        ]
+        memo = {}
+        sizes = []
+        for block in blocks + blocks:
+            attributes, _, _, _ = _decode_attributes(block, 4, memo)
+            assert attributes == _decode_attributes(block, 4)[0]
+            sizes.append(len(memo))
+        assert max(sizes) == 2
+        assert 1 in sizes[1:]  # the memo was cleared and refilled
+
+
+def _attribute_block(data):
+    """The path-attribute block of a single BGP4MP_MESSAGE_AS4 record."""
+    body = data[12:]
+    offset = 4 + 4 + 2 + 2 + 4 + 4  # peer/local AS, ifindex, AFI, addresses
+    offset += 16 + 2 + 1  # marker, length, type
+    withdrawn = struct.unpack_from(">H", body, offset)[0]
+    offset += 2 + withdrawn
+    length = struct.unpack_from(">H", body, offset)[0]
+    return body[offset + 2 : offset + 2 + length]
 
 
 class TestBgp4mp:
